@@ -175,34 +175,6 @@ func BenchmarkAblationTreeCount(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDetector compares the repeat-detection backends: the
-// paper's suffix tree vs a suffix array. Both find identical repeat
-// families (tested in internal/outline); the trade-off is construction
-// time vs memory — the resource the paper's global tree exhausts.
-func BenchmarkAblationDetector(b *testing.B) {
-	ab := ablationApp(b)
-	base := build(b, ab, "baseline").TextBytes()
-	for i := 0; i < b.N; i++ {
-		t := &report.Table{
-			Title:  "\nAblation: detection backend (suffix tree vs suffix array, global scope)",
-			Header: []string{"backend", "reduction", "build", "detect"},
-		}
-		for _, d := range []struct {
-			name string
-			kind outline.DetectorKind
-		}{{"suffix tree", outline.DetectorSuffixTree}, {"suffix array", outline.DetectorSuffixArray}} {
-			img, stats := outlineWith(b, ab, outline.Options{Detector: d.kind})
-			t.AddRow(d.name,
-				report.Reduction(base, img.TextBytes()),
-				stats.TreeBuild.Round(100_000).String(),
-				stats.Detect.Round(100_000).String())
-		}
-		if i == 0 {
-			fmt.Println(t)
-		}
-	}
-}
-
 // BenchmarkAblationDedup measures how much of the PlOpti loss cross-tree
 // function deduplication recovers.
 func BenchmarkAblationDedup(b *testing.B) {

@@ -1,6 +1,6 @@
 // Command redscan reproduces the paper's §2.2 redundancy analysis on a
 // synthetic app: it compiles the app at the baseline configuration, builds
-// a suffix tree over the binary code, and reports the estimated code-size
+// a suffix array over the binary code, and reports the estimated code-size
 // reduction (Table 1), the sequence-length/repeat-count distribution
 // (Figure 3), and the hottest repeated patterns (Observation 3, Figure 4).
 package main

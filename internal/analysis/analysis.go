@@ -170,17 +170,13 @@ func Lint(img *oat.Image) []Finding { return LintParallel(img, 0) }
 // LintParallel is Lint with an explicit worker count (<= 0 selects
 // GOMAXPROCS). Finding order does not depend on the width.
 func LintParallel(img *oat.Image, workers int) []Finding {
-	return LintTraced(img, workers, nil)
-}
-
-// LintTraced is LintParallel with per-method telemetry recorded on the
-// tracer; see AnalyzeTraced. Findings are identical either way.
-func LintTraced(img *oat.Image, workers int, tracer *obs.Tracer) []Finding {
-	out, _ := LintCtx(context.Background(), img, workers, tracer)
+	out, _ := LintCtx(context.Background(), img, workers, nil)
 	return out
 }
 
-// LintCtx is LintTraced with cooperative cancellation; see AnalyzeCtx.
+// LintCtx is LintParallel with per-method telemetry recorded on the
+// tracer (see AnalyzeTraced; findings are identical either way) and
+// cooperative cancellation (see AnalyzeCtx).
 func LintCtx(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) ([]Finding, error) {
 	rep, err := AnalyzeCtx(ctx, img, workers, tracer)
 	if err != nil {

@@ -429,15 +429,6 @@ func DefaultRuleSpec() *RuleSpec {
 	return s
 }
 
-// AllRuleSpec enables every registered rule with default roots.
-func AllRuleSpec() *RuleSpec {
-	s := DefaultRuleSpec()
-	for _, r := range registry {
-		s.enabled[r.Name()] = true
-	}
-	return s
-}
-
 // Enabled reports whether the spec enables a rule.
 func (s *RuleSpec) Enabled(name string) bool { return s.enabled[name] }
 

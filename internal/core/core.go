@@ -56,8 +56,9 @@ type Config struct {
 	// merges identical outlined bodies across trees and rounds.
 	Rounds         int
 	DedupFunctions bool
-	// Detector selects the repeat-detection backend (suffix tree by
-	// default; outline.DetectorSuffixArray for the low-memory variant).
+	// Detector is kept for source compatibility.
+	//
+	// Deprecated: ignored; the suffix array is the only detector.
 	Detector outline.DetectorKind
 	// VerifyImage runs the static image verifier (internal/analysis) on
 	// the linked image and fails the build on any warning or error. It is
@@ -105,15 +106,6 @@ func CTOLTBO() Config { return Config{OptimizeIR: true, CTO: true, LTBO: true} }
 func CTOLTBOPl(k int) Config {
 	c := CTOLTBO()
 	c.ParallelTrees = k
-	return c
-}
-
-// CTOLTBOPlHf adds hot-function filtering on top of CTOLTBOPl; the caller
-// supplies the profile from a prior instrumented run.
-func CTOLTBOPlHf(k int, p *profiler.Profile) Config {
-	c := CTOLTBOPl(k)
-	c.HotFilter = true
-	c.Profile = p
 	return c
 }
 
@@ -199,7 +191,6 @@ func BuildCtx(ctx context.Context, app *dex.App, cfg Config) (*Result, error) {
 			DetectShards:   cfg.DetectShards,
 			Rounds:         cfg.Rounds,
 			DedupFunctions: cfg.DedupFunctions,
-			Detector:       cfg.Detector,
 			Workers:        cfg.Workers,
 			Tracer:         cfg.Tracer,
 		}
@@ -344,8 +335,6 @@ type ReoutlineConfig struct {
 	// re-outlined bodies.
 	Rounds         int
 	DedupFunctions bool
-	// Detector selects the repeat-detection backend.
-	Detector outline.DetectorKind
 	// Workers bounds every parallel stage; <= 0 selects GOMAXPROCS. The
 	// output image is byte-identical at every width.
 	Workers int
@@ -373,7 +362,6 @@ func ReoutlineImageCtx(ctx context.Context, img *oat.Image, cfg ReoutlineConfig)
 		DetectShards:   cfg.DetectShards,
 		Rounds:         cfg.Rounds,
 		DedupFunctions: cfg.DedupFunctions,
-		Detector:       cfg.Detector,
 		Workers:        cfg.Workers,
 		Tracer:         cfg.Tracer,
 	})

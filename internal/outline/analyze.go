@@ -7,7 +7,7 @@ import (
 	"repro/internal/abi"
 	"repro/internal/codegen"
 	"repro/internal/dex"
-	"repro/internal/suffixtree"
+	"repro/internal/suffixarray"
 )
 
 // Analysis is the output of the §2.2 redundancy study: the estimated code
@@ -82,8 +82,7 @@ func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysi
 	if len(seq) == 0 {
 		return a
 	}
-	tree := suffixtree.Build(seq)
-	repeats := tree.Repeats(2, 2)
+	repeats := suffixarray.Build(seq).Repeats(2, 2)
 	for _, r := range repeats {
 		a.RepeatFamilies[r.Length]++
 		a.OccurrencesByLength[r.Length] += int64(r.Count)
@@ -91,23 +90,13 @@ func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysi
 
 	// Greedy benefit-ordered non-overlapping selection, identical to the
 	// outliner's, to estimate achievable savings (Figure 2 model).
-	sort.Slice(repeats, func(i, j int) bool {
-		bi := suffixtree.Benefit(repeats[i].Length, repeats[i].Count)
-		bj := suffixtree.Benefit(repeats[j].Length, repeats[j].Count)
-		if bi != bj {
-			return bi > bj
-		}
-		if repeats[i].Length != repeats[j].Length {
-			return repeats[i].Length > repeats[j].Length
-		}
-		return repeats[i].Node < repeats[j].Node
-	})
+	sort.Slice(repeats, func(i, j int) bool { return rankOf(repeats[i]).before(rankOf(repeats[j])) })
 	taken := make([]bool, len(seq))
 	for _, rep := range repeats {
-		if suffixtree.Benefit(rep.Length, rep.Count) < 1 {
+		if Benefit(rep.Length, rep.Count) < 1 {
 			break
 		}
-		occs := tree.Occurrences(rep.Node)
+		occs := rep.Occurrences()
 		sort.Ints(occs)
 		chosen, lastEnd := 0, -1
 		for _, o := range occs {
@@ -130,7 +119,7 @@ func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysi
 				taken[p] = true
 			}
 		}
-		if b := suffixtree.Benefit(rep.Length, chosen); chosen >= 2 && b > 0 {
+		if b := Benefit(rep.Length, chosen); chosen >= 2 && b > 0 {
 			a.EstimatedSavedWords += b
 		}
 	}
@@ -149,7 +138,7 @@ func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysi
 		a.Top = append(a.Top, RepeatInfo{
 			Length: repeats[i].Length,
 			Count:  repeats[i].Count,
-			Words:  sym.wordsOf(tree.Label(repeats[i].Node)),
+			Words:  sym.wordsOf(repeats[i].Label()),
 		})
 	}
 	return a

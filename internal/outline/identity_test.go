@@ -17,10 +17,10 @@ import (
 var updateIdentity = flag.Bool("update", false, "rewrite the detector byte-identity golden file")
 
 // TestDetectorByteIdentityPin pins the exact images the outliner produces
-// on a fixed ladder slice. The golden file was generated before the
-// detector's input was factored behind the Sequence interface, so the
-// refactor — and any future change to the detection/selection machinery —
-// is held to byte-for-byte identity, not just "tests still pass".
+// on a fixed ladder slice. The golden file was generated with the paper's
+// suffix-tree detector, so the suffix array that replaced it — and any
+// future change to the detection/selection machinery — is held to
+// byte-for-byte identity, not just "tests still pass".
 // Regenerate (deliberately) with `go test ./internal/outline -update`.
 func TestDetectorByteIdentityPin(t *testing.T) {
 	type pinCase struct {

@@ -1,13 +1,18 @@
 // Package outline implements LTBO.2, the linking-time half of Calibro
 // (paper §3.3): choosing candidate methods, detecting repeated binary code
-// sequences with a suffix tree, outlining them into functions, and patching
+// sequences with a suffix array, outlining them into functions, and patching
 // PC-relative instructions — all driven by the metadata collected at
 // compilation time (LTBO.1), so no disassembly or heuristic binary analysis
 // is ever needed.
 //
+// Where the paper builds Ukkonen's suffix tree, detection here uses a
+// suffix array with an LCP table (internal/suffixarray). Its repeats are
+// the tree's internal nodes, and Repeat.Ord reproduces the tree's
+// selection order, so the outlined images are the ones the tree yields.
+//
 // It also implements the two production optimizations of §3.4: K-way
-// paralleled suffix trees, and hot-function filtering (hot methods
-// contribute only their slow paths).
+// paralleled suffix trees (here K independent suffix arrays), and
+// hot-function filtering (hot methods contribute only their slow paths).
 package outline
 
 import (
@@ -53,10 +58,9 @@ type Options struct {
 	// re-outliner passes codegen.SymKindReoutlined so the provenance of
 	// every outlined body survives in the image's symbol table.
 	SymKind int
-	// Detector selects the repeat-detection backend. The default suffix
-	// tree matches the paper; the suffix-array backend finds the identical
-	// repeat families with a far smaller memory footprint (the resource
-	// the paper's global tree exhausts at production scale).
+	// Detector is kept for source compatibility.
+	//
+	// Deprecated: ignored; the suffix array is the only detector.
 	Detector DetectorKind
 	// DetectShards splits each group's sequence construction and repeat
 	// detection into N shards that fan out on the worker pool, merging the
@@ -87,14 +91,10 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// DetectorKind selects a repeat-detection backend.
+// DetectorKind is the type of the deprecated Options.Detector.
+//
+// Deprecated: ignored; the suffix array is the only detector.
 type DetectorKind int
-
-// Detection backends.
-const (
-	DetectorSuffixTree DetectorKind = iota
-	DetectorSuffixArray
-)
 
 func (o Options) withDefaults() Options {
 	if o.MinLength == 0 {
@@ -286,10 +286,10 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 		return nil, stats, nil
 	}
 
-	// Adapt the candidates onto the neutral detector input. The slice is
-	// indexed like methods, so unit coordinates are method coordinates and
-	// the rewrite plans below need no translation.
-	units := make([]Sequence, len(methods))
+	// Wrap the candidates as detector units. The slice is indexed like
+	// methods, so unit coordinates are method coordinates and the rewrite
+	// plans below need no translation.
+	units := make([]methodSeq, len(methods))
 	for _, mi := range candidates {
 		cm := methods[mi]
 		units[mi] = methodSeq{cm: cm, hot: opts.Hot != nil && opts.Hot[cm.M.ID]}

@@ -384,37 +384,3 @@ func TestDedupFunctionsAcrossTrees(t *testing.T) {
 		diff(t, app, img, entry, []int64{5, 3})
 	}
 }
-
-func TestDetectorBackendsAgree(t *testing.T) {
-	// The suffix tree and suffix array expose the same repeat families, so
-	// the outliner must achieve identical savings with either backend (the
-	// functions may differ in order/identity).
-	app, man := genApp(t, 151, 70)
-	mTree := compile(t, app, true)
-	_, sTree, err := Run(mTree, Options{Detector: DetectorSuffixTree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mArr := compile(t, app, true)
-	blobs, sArr, err := RunVerified(mArr, Options{Detector: DetectorSuffixArray})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sArr.OutlinedOccurrences == 0 {
-		t.Fatal("array backend outlined nothing")
-	}
-	// Allow a tiny wobble from tie-breaking differences among
-	// equal-benefit overlapping candidates.
-	d := sTree.NetWordsSaved() - sArr.NetWordsSaved()
-	if d < 0 {
-		d = -d
-	}
-	if d*100 > sTree.NetWordsSaved() {
-		t.Errorf("backends disagree: tree saves %d, array saves %d",
-			sTree.NetWordsSaved(), sArr.NetWordsSaved())
-	}
-	img := link(t, mArr, blobs)
-	for _, entry := range man.Drivers {
-		diff(t, app, img, entry, []int64{9, 2})
-	}
-}

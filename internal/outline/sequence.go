@@ -8,28 +8,11 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/par"
 	"repro/internal/suffixarray"
-	"repro/internal/suffixtree"
 )
 
-// Sequence is one unit of detector input: a run of instruction words plus
-// the legality mask that marks positions no repeat may include. The
-// interface is deliberately free of compile-time types — the link-time
-// path adapts *codegen.CompiledMethod onto it (methodSeq), and the
-// post-hoc re-outliner (internal/reoutline) adapts lifted method bodies —
-// so both paths share one detection and selection machine.
-type Sequence interface {
-	// Words returns the unit's instruction words. The slice must stay
-	// valid and unchanged for the duration of the detection pass.
-	Words() []uint32
-	// Mask reports, per word, whether the position is a separator — a
-	// word that may not take part in any repeat (embedded data, control
-	// transfers, PC-relative sites and targets, and so on). len(Mask())
-	// must equal len(Words()).
-	Mask() []bool
-}
-
-// methodSeq adapts a compiled method (plus its hot-filtering state) onto
-// the neutral Sequence interface.
+// methodSeq is one unit of detector input: a compiled method plus its
+// hot-filtering state. Its words are the method's code; its mask marks
+// the positions no repeat may include.
 type methodSeq struct {
 	cm  *codegen.CompiledMethod
 	hot bool
@@ -172,7 +155,7 @@ func (s *symbolizer) wordsOf(label []uint32) []uint32 {
 // owns a worker lane, and spans from a nested pool would interleave with
 // the outer tasks on the same lanes. The per-group instant event carries
 // these durations instead.
-func buildSequence(units []Sequence, group []int, opts Options, st *Stats) ([]uint32, []position) {
+func buildSequence(units []methodSeq, group []int, opts Options, st *Stats) ([]uint32, []position) {
 	t0 := time.Now()
 	seps, _ := par.Map(opts.Workers, len(group), func(i int) ([]bool, error) {
 		return units[group[i]].Mask(), nil
@@ -207,62 +190,54 @@ func buildSequence(units []Sequence, group []int, opts Options, st *Stats) ([]ui
 	return seq, pos
 }
 
-// repeatCand is one detected repeat, detector-agnostic.
-type repeatCand struct {
-	length, count int
-	ord           int          // deterministic tie-break ordinal
-	first         int          // one occurrence start, cheap and deterministic
-	occurrences   func() []int // start positions in the sequence
+// detectRepeats builds the suffix array over seq and enumerates its
+// repeats, timing the two phases into st.
+func detectRepeats(seq []uint32, opts Options, st *Stats) []suffixarray.Repeat {
+	t0 := time.Now()
+	arr := suffixarray.Build(seq)
+	st.TreeBuild = time.Since(t0)
+	t1 := time.Now()
+	repeats := arr.Repeats(opts.MinLength, 2)
+	st.Detect = time.Since(t1)
+	return repeats
 }
 
-// detectRepeats runs the configured detection backend.
-func detectRepeats(seq []uint32, opts Options, st *Stats) []repeatCand {
-	var cands []repeatCand
-	switch opts.Detector {
-	case DetectorSuffixArray:
-		t0 := time.Now()
-		arr := suffixarray.Build(seq)
-		st.TreeBuild = time.Since(t0)
-		t1 := time.Now()
-		for _, rep := range arr.Repeats(opts.MinLength, 2) {
-			rep := rep
-			cands = append(cands, repeatCand{
-				length: rep.Length, count: rep.Count,
-				ord:         rep.Occurrences()[0]*1000 + rep.Length,
-				first:       rep.First(),
-				occurrences: rep.Occurrences,
-			})
-		}
-		st.Detect = time.Since(t1)
-	default: // DetectorSuffixTree
-		t0 := time.Now()
-		tree := suffixtree.Build(seq)
-		st.TreeBuild = time.Since(t0)
-		t1 := time.Now()
-		for _, rep := range tree.Repeats(opts.MinLength, 2) {
-			rep := rep
-			cands = append(cands, repeatCand{
-				length: rep.Length, count: rep.Count, ord: rep.Node,
-				first:       tree.FirstOccurrence(rep.Node),
-				occurrences: func() []int { return tree.Occurrences(rep.Node) },
-			})
-		}
-		st.Detect = time.Since(t1)
+// Benefit evaluates the paper's Figure 2 model: the instruction-count
+// saving from outlining a repeat of the given length occurring count times
+// (the +1 is the outlined function's return instruction).
+func Benefit(length, count int) int {
+	return length*count - (count + 1 + length)
+}
+
+// rank is what greedy selection orders candidates by.
+type rank struct{ length, count, ord int }
+
+func rankOf(r suffixarray.Repeat) rank { return rank{r.Length, r.Count, r.Ord} }
+
+// before reports whether a is tried before b: by Figure 2 benefit, longest
+// first among ties, then by ordinal — which among equal lengths is the
+// paper's suffix-tree node order (suffixarray.Repeat.Ord).
+func (a rank) before(b rank) bool {
+	if ba, bb := Benefit(a.length, a.count), Benefit(b.length, b.count); ba != bb {
+		return ba > bb
 	}
-	return cands
+	if a.length != b.length {
+		return a.length > b.length
+	}
+	return a.ord < b.ord
 }
 
 // outlineGroup runs detection and selection over one unit group and
 // returns the functions to create (with their chosen occurrences).
 //
-// Two detection routes share this entry: the paper's global structure (one
-// sequence, one tree, selection in sequence coordinates) and the sharded
-// route of shard.go (DetectShards >= 2), which partitions the group's
-// sequence construction and detection and then selects globally in unit
-// coordinates. With one shard the two routes are byte-identical — the
+// Two detection routes share this entry: the paper's global structure
+// (one sequence, one suffix array, selection in sequence coordinates) and
+// the sharded route of shard.go (DetectShards >= 2), which partitions the
+// group's sequence construction and detection and then selects globally
+// in unit coordinates. With one shard the two routes are byte-identical — the
 // property shard_test.go pins — which is what makes DetectShards a tunable
 // rather than a fork.
-func outlineGroup(units []Sequence, group []int, opts Options) ([]outlinedFunc, Stats, error) {
+func outlineGroup(units []methodSeq, group []int, opts Options) ([]outlinedFunc, Stats, error) {
 	if opts.DetectShards > 1 || opts.forceSharded {
 		return outlineGroupSharded(units, group, opts)
 	}
@@ -275,27 +250,15 @@ func outlineGroup(units []Sequence, group []int, opts Options) ([]outlinedFunc, 
 
 	repeats := detectRepeats(seq, opts, &st)
 	t1 := time.Now()
-	// Rank by potential benefit, longest first among ties, the detector's
-	// ordinal as the deterministic tie-break.
-	sort.Slice(repeats, func(a, b int) bool {
-		ba := suffixtree.Benefit(repeats[a].length, repeats[a].count)
-		bb := suffixtree.Benefit(repeats[b].length, repeats[b].count)
-		if ba != bb {
-			return ba > bb
-		}
-		if repeats[a].length != repeats[b].length {
-			return repeats[a].length > repeats[b].length
-		}
-		return repeats[a].ord < repeats[b].ord
-	})
+	sort.Slice(repeats, func(a, b int) bool { return rankOf(repeats[a]).before(rankOf(repeats[b])) })
 
 	taken := make([]bool, len(seq))
 	var funcs []outlinedFunc
 	for _, rep := range repeats {
-		if suffixtree.Benefit(rep.length, rep.count) < opts.MinBenefit {
+		if Benefit(rep.Length, rep.Count) < opts.MinBenefit {
 			break // sorted by benefit: nothing below can qualify either
 		}
-		occs := rep.occurrences()
+		occs := rep.Occurrences()
 		sort.Ints(occs)
 		var chosen []int
 		lastEnd := -1
@@ -304,7 +267,7 @@ func outlineGroup(units []Sequence, group []int, opts Options) ([]outlinedFunc, 
 				continue // overlaps previous occurrence of this repeat
 			}
 			free := true
-			for p := o; p < o+rep.length; p++ {
+			for p := o; p < o+rep.Length; p++ {
 				if taken[p] {
 					free = false
 					break
@@ -314,18 +277,18 @@ func outlineGroup(units []Sequence, group []int, opts Options) ([]outlinedFunc, 
 				continue
 			}
 			chosen = append(chosen, o)
-			lastEnd = o + rep.length
+			lastEnd = o + rep.Length
 		}
-		if len(chosen) < 2 || suffixtree.Benefit(rep.length, len(chosen)) < opts.MinBenefit {
+		if len(chosen) < 2 || Benefit(rep.Length, len(chosen)) < opts.MinBenefit {
 			continue
 		}
 		f := outlinedFunc{}
 		first := chosen[0]
-		for p := first; p < first+rep.length; p++ {
+		for p := first; p < first+rep.Length; p++ {
 			f.words = append(f.words, units[pos[p].method].Words()[pos[p].word])
 		}
 		for _, o := range chosen {
-			for p := o; p < o+rep.length; p++ {
+			for p := o; p < o+rep.Length; p++ {
 				taken[p] = true
 			}
 			f.occurrences = append(f.occurrences, occurrence{

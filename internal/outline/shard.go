@@ -24,42 +24,42 @@ import (
 	"time"
 
 	"repro/internal/par"
-	"repro/internal/suffixtree"
+	"repro/internal/suffixarray"
 )
 
 // shardOrdStride prefixes a candidate's detector ordinal with its shard
-// index so tie-breaks stay deterministic across shard counts. Sequence
-// ordinals are bounded by the sequence length (suffix tree: node index)
-// or length*1000 (suffix array), both far under 2^40.
+// index so tie-breaks stay deterministic across shard counts. An ordinal
+// (suffixarray.Repeat.Ord) is a position in the shard's sequence, so it is
+// bounded by the sequence length, far under 2^40.
 const shardOrdStride = 1 << 40
 
 // shardDetect is one shard's detection product.
 type shardDetect struct {
 	pos   []position
-	cands []repeatCand
+	cands []suffixarray.Repeat
 	stats Stats
 }
 
 // mergedCand is one repeat family in method coordinates, the union of the
 // shard-local candidates with identical instruction content.
 type mergedCand struct {
-	words  []uint32 // the repeat's instruction words
-	length int
-	count  int // occurrences summed over the constituent shards
-	ord    int // lowest shard-prefixed detector ordinal
-	parts  []mergedPart
+	words []uint32 // the repeat's instruction words
+	// rank holds the length, the occurrences summed over the constituent
+	// shards, and the lowest shard-prefixed detector ordinal.
+	rank
+	parts []mergedPart
 }
 
 // mergedPart points back into one shard's candidate so occurrences can be
 // materialized lazily — only for candidates that survive the benefit cut.
 type mergedPart struct {
 	shard int
-	cand  repeatCand
+	cand  suffixarray.Repeat
 }
 
 // outlineGroupSharded is the DetectShards >= 2 route of outlineGroup (and,
 // under Options.forceSharded, the test route at one shard).
-func outlineGroupSharded(units []Sequence, group []int, opts Options) ([]outlinedFunc, Stats, error) {
+func outlineGroupSharded(units []methodSeq, group []int, opts Options) ([]outlinedFunc, Stats, error) {
 	var st Stats
 	n := opts.DetectShards
 	if n < 1 {
@@ -118,27 +118,27 @@ func outlineGroupSharded(units []Sequence, group []int, opts Options) ([]outline
 // content. Shards are folded in shard order after the barrier, so the
 // output order — and every merged ordinal — is deterministic regardless of
 // how the shard tasks were scheduled.
-func mergeCandidates(units []Sequence, shards []*shardDetect) []*mergedCand {
+func mergeCandidates(units []methodSeq, shards []*shardDetect) []*mergedCand {
 	byContent := map[string]*mergedCand{}
 	var out []*mergedCand
 	for si, sd := range shards {
 		for _, c := range sd.cands {
-			words := make([]uint32, c.length)
+			words := make([]uint32, c.Length)
 			for k := range words {
-				p := sd.pos[c.first+k]
+				p := sd.pos[c.Ord+k]
 				words[k] = units[p.method].Words()[p.word]
 			}
-			ord := si*shardOrdStride + c.ord
+			ord := si*shardOrdStride + c.Ord
 			key := blobKey(words)
 			mc := byContent[key]
 			if mc == nil {
-				mc = &mergedCand{words: words, length: c.length, ord: ord}
+				mc = &mergedCand{words: words, rank: rank{length: c.Length, ord: ord}}
 				byContent[key] = mc
 				out = append(out, mc)
 			} else if ord < mc.ord {
 				mc.ord = ord
 			}
-			mc.count += c.count
+			mc.count += c.Count
 			mc.parts = append(mc.parts, mergedPart{shard: si, cand: c})
 		}
 	}
@@ -151,31 +151,21 @@ func mergeCandidates(units []Sequence, shards []*shardDetect) []*mergedCand {
 // lowest ordinal last), take occurrences in sequence order, skip overlaps
 // with anything already outlined, and emit only families that still clear
 // the benefit bar with their surviving occurrences.
-func selectMerged(units []Sequence, shards []*shardDetect, cands []*mergedCand, opts Options) []outlinedFunc {
-	sort.Slice(cands, func(a, b int) bool {
-		ba := suffixtree.Benefit(cands[a].length, cands[a].count)
-		bb := suffixtree.Benefit(cands[b].length, cands[b].count)
-		if ba != bb {
-			return ba > bb
-		}
-		if cands[a].length != cands[b].length {
-			return cands[a].length > cands[b].length
-		}
-		return cands[a].ord < cands[b].ord
-	})
+func selectMerged(units []methodSeq, shards []*shardDetect, cands []*mergedCand, opts Options) []outlinedFunc {
+	sort.Slice(cands, func(a, b int) bool { return cands[a].before(cands[b].rank) })
 
 	// Lazily built per-method occupancy, the method-coordinate image of the
 	// global path's taken[] over sequence positions.
 	taken := map[int][]bool{}
 	var funcs []outlinedFunc
 	for _, mc := range cands {
-		if suffixtree.Benefit(mc.length, mc.count) < opts.MinBenefit {
+		if Benefit(mc.length, mc.count) < opts.MinBenefit {
 			break // sorted by benefit: nothing below can qualify either
 		}
 		occs := make([]occurrence, 0, mc.count)
 		for _, part := range mc.parts {
 			pos := shards[part.shard].pos
-			for _, o := range part.cand.occurrences() {
+			for _, o := range part.cand.Occurrences() {
 				occs = append(occs, occurrence{method: int(pos[o].method), wordOff: int(pos[o].word)})
 			}
 		}
@@ -208,7 +198,7 @@ func selectMerged(units []Sequence, shards []*shardDetect, cands []*mergedCand, 
 			chosen = append(chosen, o)
 			lastMethod, lastEnd = o.method, o.wordOff+mc.length
 		}
-		if len(chosen) < 2 || suffixtree.Benefit(mc.length, len(chosen)) < opts.MinBenefit {
+		if len(chosen) < 2 || Benefit(mc.length, len(chosen)) < opts.MinBenefit {
 			continue
 		}
 		f := outlinedFunc{words: mc.words, occurrences: chosen}

@@ -29,19 +29,17 @@ func imageBytes(t *testing.T, seed int64, methods int, opts Options) []byte {
 // serializes to exactly the bytes of the sequence-coordinate global path.
 func TestShardedOneShardMatchesGlobal(t *testing.T) {
 	for _, seed := range []int64{1, 7, 99} {
-		for _, detector := range []DetectorKind{DetectorSuffixTree, DetectorSuffixArray} {
-			base := Options{Detector: detector, Rounds: 2}
-			global := imageBytes(t, seed, 120, base)
+		base := Options{Rounds: 2}
+		global := imageBytes(t, seed, 120, base)
 
-			forced := base
-			forced.DetectShards = 1
-			forced.forceSharded = true
-			sharded := imageBytes(t, seed, 120, forced)
+		forced := base
+		forced.DetectShards = 1
+		forced.forceSharded = true
+		sharded := imageBytes(t, seed, 120, forced)
 
-			if !bytes.Equal(global, sharded) {
-				t.Fatalf("seed %d detector %d: sharded(1) image differs from global (%d vs %d bytes)",
-					seed, detector, len(sharded), len(global))
-			}
+		if !bytes.Equal(global, sharded) {
+			t.Fatalf("seed %d: sharded(1) image differs from global (%d vs %d bytes)",
+				seed, len(sharded), len(global))
 		}
 	}
 }

@@ -50,28 +50,18 @@ func Snap(methods []*codegen.CompiledMethod) *Snapshot {
 //  4. Stack map entries land on call instructions.
 //
 // It returns the first violation found. Methods replay independently on
-// runtime.GOMAXPROCS(0) workers (use VerifyRewriteParallel for an
-// explicit width); when several methods are violated, the lowest method
-// index's error is reported, exactly as a serial scan would.
+// runtime.GOMAXPROCS(0) workers (use VerifyRewriteCtx for an explicit
+// width); when several methods are violated, the lowest method index's
+// error is reported, exactly as a serial scan would.
 func VerifyRewrite(methods []*codegen.CompiledMethod, before *Snapshot, blobs []oat.Blob) error {
-	return VerifyRewriteParallel(methods, before, blobs, 0)
+	return VerifyRewriteCtx(context.Background(), methods, before, blobs, 0, nil)
 }
 
-// VerifyRewriteParallel is VerifyRewrite with an explicit worker count
-// (<= 0 selects GOMAXPROCS).
-func VerifyRewriteParallel(methods []*codegen.CompiledMethod, before *Snapshot, blobs []oat.Blob, workers int) error {
-	return VerifyRewriteTraced(methods, before, blobs, workers, nil)
-}
-
-// VerifyRewriteTraced is VerifyRewriteParallel with per-method replay
-// spans (category "outline.verify") recorded on the tracer; nil traces
-// nothing. Findings are identical either way.
-func VerifyRewriteTraced(methods []*codegen.CompiledMethod, before *Snapshot, blobs []oat.Blob, workers int, tracer *obs.Tracer) error {
-	return VerifyRewriteCtx(context.Background(), methods, before, blobs, workers, tracer)
-}
-
-// VerifyRewriteCtx is VerifyRewriteTraced with cooperative cancellation:
-// the per-method replay pool checks ctx before every method and returns
+// VerifyRewriteCtx is VerifyRewrite with an explicit worker count (<= 0
+// selects GOMAXPROCS), per-method replay spans (category
+// "outline.verify") recorded on the tracer (nil traces nothing; findings
+// are identical either way), and cooperative cancellation: the
+// per-method replay pool checks ctx before every method and returns
 // ctx.Err() when it fires.
 func VerifyRewriteCtx(ctx context.Context, methods []*codegen.CompiledMethod, before *Snapshot, blobs []oat.Blob, workers int, tracer *obs.Tracer) error {
 	bodyBySym := map[int][]uint32{}

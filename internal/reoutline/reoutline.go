@@ -61,8 +61,6 @@ type Config struct {
 	// re-outlined bodies across trees and rounds.
 	Rounds         int
 	DedupFunctions bool
-	// Detector selects the repeat-detection backend.
-	Detector outline.DetectorKind
 	// Workers bounds every parallel stage; <= 0 selects GOMAXPROCS. The
 	// output image is byte-identical at every width.
 	Workers int
@@ -213,7 +211,6 @@ func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats
 		DetectShards:   cfg.DetectShards,
 		Rounds:         cfg.Rounds,
 		DedupFunctions: cfg.DedupFunctions,
-		Detector:       cfg.Detector,
 		Workers:        cfg.Workers,
 		Tracer:         cfg.Tracer,
 		SymKind:        codegen.SymKindReoutlined,

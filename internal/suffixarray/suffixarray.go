@@ -1,17 +1,23 @@
-// Package suffixarray provides an alternative repeat-detection backend to
-// the suffix tree of internal/suffixtree: a suffix array with an LCP table,
-// built by prefix doubling (O(n log² n)) with Kasai's LCP algorithm (O(n)).
+// Package suffixarray is Calibro's repeat detector: a suffix array with an
+// LCP table over sequences of uint32 symbols, built by prefix doubling
+// (O(n log² n)) with Kasai's LCP algorithm (O(n)). The paper uses
+// Ukkonen's suffix tree (§2.1.2, §3.3.2); the LCP intervals of a suffix
+// array are exactly the suffix tree's internal nodes, so the same repeat
+// families come out of three integer arrays instead of a pointer-and-map
+// tree — the memory footprint the paper's global tree exhausts at
+// production scale (§3.4/§4.4).
 //
-// The motivation comes straight from the paper's §3.4/§4.4 discussion: the
-// global suffix tree's memory footprint is what breaks down at production
-// scale (it cannot even run on the 8 GB device). A suffix array stores
-// three integer arrays instead of a pointer-and-map tree — roughly an
-// order of magnitude less memory — while exposing exactly the same
-// repeats: the LCP-interval tree of a suffix array is isomorphic to the
-// suffix tree's internal nodes, which the equivalence tests check.
+// Sequences are instruction words mapped to symbols by the outliner; every
+// basic-block terminator is mapped to a symbol unique to its position, so
+// no repeated substring can cross a basic-block boundary (§3.3.2), and
+// concatenating many methods with unique separators yields one structure
+// over the whole program.
 package suffixarray
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Array is a built suffix array with its LCP table.
 type Array struct {
@@ -20,8 +26,8 @@ type Array struct {
 	lcp []int32 // lcp[i] = longest common prefix of sa[i-1] and sa[i]; lcp[0]=0
 }
 
-// Build constructs the suffix array of seq. As with the suffix tree, the
-// caller terminates sequences with unique separator symbols.
+// Build constructs the suffix array of seq. The caller terminates
+// sequences with unique separator symbols.
 func Build(seq []uint32) *Array {
 	n := len(seq)
 	a := &Array{seq: seq, sa: make([]int32, n), lcp: make([]int32, n)}
@@ -98,18 +104,21 @@ func (a *Array) SA() []int32 { return a.sa }
 // LCP returns the LCP table (do not modify).
 func (a *Array) LCP() []int32 { return a.lcp }
 
-// Repeat is one maximal repeat: an LCP interval. The subsequence of the
-// given Length starts at every position in Occurrences.
+// Repeat is one right-maximal repeat: an LCP interval. The subsequence of
+// the given Length starts at every position in Occurrences.
 type Repeat struct {
 	Length int
 	Count  int
+	// Ord is the repeat's selection tie-break: the second-smallest of the
+	// minimum suffix starts of the interval's children. It is the position
+	// p at which Ukkonen's construction creates the repeat's suffix-tree
+	// node (in phase p+Length), so among repeats of equal Length, Ord order
+	// is the suffix tree's node-creation order. Ord is also an occurrence
+	// start.
+	Ord    int
 	lo, hi int // interval [lo, hi] in sa
 	arr    *Array
 }
-
-// First returns one deterministic occurrence start (the suffix-array-order
-// first) without materializing the full Occurrences slice.
-func (r Repeat) First() int { return int(r.arr.sa[r.lo]) }
 
 // Occurrences returns the start positions (unsorted).
 func (r Repeat) Occurrences() []int {
@@ -122,13 +131,15 @@ func (r Repeat) Occurrences() []int {
 
 // Label returns the repeated subsequence.
 func (r Repeat) Label() []uint32 {
-	start := int(r.arr.sa[r.lo])
-	return r.arr.seq[start : start+r.Length]
+	return r.arr.seq[r.Ord : r.Ord+r.Length]
 }
 
 // Repeats enumerates the LCP intervals with Length >= minLen and
-// Count >= minCount — exactly the internal nodes of the suffix tree. The
-// classic stack algorithm walks the LCP table once.
+// Count >= minCount — exactly the internal nodes of the suffix tree — in
+// no particular order. The classic stack algorithm walks the LCP table
+// once; every completed child (a leaf sa[i-1] or a popped interval) is
+// offered to its parent frame, which keeps the two smallest child minima
+// for Ord.
 func (a *Array) Repeats(minLen, minCount int) []Repeat {
 	if minCount < 2 {
 		minCount = 2
@@ -138,35 +149,52 @@ func (a *Array) Repeats(minLen, minCount int) []Repeat {
 		return nil
 	}
 	type frame struct {
-		lcp int32
-		lo  int
+		lcp        int32
+		lo         int
+		min1, min2 int32 // the two smallest child minima
 	}
 	var out []Repeat
 	var stack []frame
+	offer := func(f *frame, c int32) {
+		if c < f.min1 {
+			f.min1, f.min2 = c, f.min1
+		} else if c < f.min2 {
+			f.min2 = c
+		}
+	}
 	emit := func(f frame, hi int) {
 		count := hi - f.lo + 1
 		if int(f.lcp) >= minLen && count >= minCount {
 			out = append(out, Repeat{
-				Length: int(f.lcp), Count: count, lo: f.lo, hi: hi, arr: a,
+				Length: int(f.lcp), Count: count, Ord: int(f.min2),
+				lo: f.lo, hi: hi, arr: a,
 			})
 		}
 	}
 	for i := 1; i < n; i++ {
 		lo := i - 1
+		child := a.sa[i-1]
 		for len(stack) > 0 && stack[len(stack)-1].lcp > a.lcp[i] {
-			top := stack[len(stack)-1]
+			top := &stack[len(stack)-1]
+			offer(top, child)
+			emit(*top, i-1)
+			lo, child = top.lo, top.min1
 			stack = stack[:len(stack)-1]
-			emit(top, i-1)
-			lo = top.lo
 		}
-		if a.lcp[i] > 0 && (len(stack) == 0 || stack[len(stack)-1].lcp < a.lcp[i]) {
-			stack = append(stack, frame{lcp: a.lcp[i], lo: lo})
+		switch {
+		case len(stack) > 0 && stack[len(stack)-1].lcp == a.lcp[i]:
+			offer(&stack[len(stack)-1], child)
+		case a.lcp[i] > 0:
+			stack = append(stack, frame{lcp: a.lcp[i], lo: lo, min1: child, min2: math.MaxInt32})
 		}
 	}
+	child := a.sa[n-1]
 	for len(stack) > 0 {
-		top := stack[len(stack)-1]
+		top := &stack[len(stack)-1]
+		offer(top, child)
+		emit(*top, n-1)
+		child = top.min1
 		stack = stack[:len(stack)-1]
-		emit(top, n-1)
 	}
 	return out
 }
