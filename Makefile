@@ -37,10 +37,12 @@ test-short:
 race:
 	$(GO) test -race -short ./...
 
-# fuzz gives the serialization, lint, call-graph, and remote-cache wire
-# fuzzers a short budget each. FuzzRemoteFrame attacks the client half of
-# the cache protocol (hostile server responses), FuzzRemoteRequest the
-# server half (hostile client requests).
+# fuzz gives the serialization, lint, call-graph, lint-dataflow, and
+# remote-cache wire fuzzers a short budget each. FuzzDataflow requires
+# the lint's slot-list frame model to agree with the reference map
+# model. FuzzRemoteFrame attacks the client half of the cache protocol
+# (hostile server responses), FuzzRemoteRequest the server half
+# (hostile client requests).
 fuzz:
 	$(GO) test ./internal/oat -run xxx -fuzz FuzzUnmarshal -fuzztime 20s
 	$(GO) test ./internal/oat -run xxx -fuzz FuzzUnmarshalLint -fuzztime 20s
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test ./internal/cache -run xxx -fuzz FuzzRemoteFrame -fuzztime 20s
 	$(GO) test ./internal/cache/cacheserver -run xxx -fuzz FuzzRemoteRequest -fuzztime 20s
 	$(GO) test ./internal/analysis -run xxx -fuzz FuzzCallGraph -fuzztime 20s
+	$(GO) test ./internal/analysis -run xxx -fuzz FuzzDataflow -fuzztime 20s
 	$(GO) test ./internal/reoutline -run xxx -fuzz FuzzLift -fuzztime 20s
 
 # bench regenerates the paper's tables and figures.
@@ -70,14 +73,16 @@ bench-cache:
 	$(GO) test -run xxx -bench 'BenchmarkBuildColdVsWarm' -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_cache.json
 
-# bench-smoke is the ci guard for the same benchmarks: one iteration each
-# at the -short scale, proving they still run — plus the -j scaling
-# assertion (BenchmarkCompileScalingSmoke), which fails the build if a
-# j=8 compile stops beating j=1 by at least 1.5x. The assertion
+# bench-smoke is the ci guard for the same benchmarks and for the lint
+# benchmark (BenchmarkLint): one iteration each at the -short scale,
+# proving they still run — plus the -j scaling assertion
+# (BenchmarkCompileScalingSmoke), which fails the build if a j=8
+# compile stops beating j=1 by at least 1.5x. The assertion
 # self-skips on hosts with fewer than 4 CPUs, where the ladder is
 # legitimately flat.
 bench-smoke:
 	$(GO) test -short -run xxx -bench 'BenchmarkCompileWorkers|BenchmarkCompileScalingSmoke|BenchmarkBuildTraced|BenchmarkBuildColdVsWarm' -benchtime 1x . >/dev/null
+	$(GO) test -short -run xxx -bench 'BenchmarkLint' -benchtime 1x ./internal/analysis >/dev/null
 
 # serve-smoke boots calibrod on a random port, drives one job end to end
 # via calibroctl, checks /healthz and /metrics, and requires a clean

@@ -232,9 +232,9 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "config %s: text %s, build %s at -j %d (compile %s, outline %s, link %s; stage sum %s)\n",
-		*config, report.Bytes(res.TextBytes()), report.Dur(res.WallTime), res.Workers,
-		report.Dur(res.CompileTime), report.Dur(res.OutlineTime), report.Dur(res.LinkTime),
-		report.Dur(res.StageTime()))
+		*config, report.Bytes(res.TextBytes()), usDur(res.WallTime.Microseconds()), res.Workers,
+		usDur(res.CompileTime.Microseconds()), usDur(res.OutlineTime.Microseconds()),
+		usDur(res.LinkTime.Microseconds()), usDur(res.StageTime().Microseconds()))
 	if s := res.Outline; s != nil {
 		fmt.Fprintf(out, "outlining: %d candidates, %d functions, %d occurrences, net %d words saved\n",
 			s.CandidateMethods, s.OutlinedFunctions, s.OutlinedOccurrences, s.NetWordsSaved())
@@ -402,9 +402,9 @@ func writeFileWith(path string, write func(w io.Writer) error) error {
 	return f.Close()
 }
 
-// usDur renders a microsecond count for the telemetry table. Below a
-// second the report.Dur m/s style collapses everything to "0.0s", so
-// small values switch to milliseconds.
+// usDur renders a microsecond count for the build summary and the
+// telemetry table. Below a second the report.Dur m/s style collapses
+// everything to "0.0s", so small values switch to milliseconds.
 func usDur(us int64) string {
 	d := time.Duration(us) * time.Microsecond
 	if d < time.Second && d > -time.Second {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -68,6 +69,43 @@ func TestRunHappyPath(t *testing.T) {
 	}
 	if fi, err := os.Stat(out); err != nil || fi.Size() == 0 {
 		t.Errorf("image file not written: %v", err)
+	}
+}
+
+// TestRunSummaryUnits checks that the build summary line renders its
+// wall clocks with the sub-second-aware usDur rule: a small build's
+// stages read in milliseconds instead of collapsing to "0.0s".
+func TestRunSummaryUnits(t *testing.T) {
+	for _, c := range []struct {
+		us   int64
+		want string
+	}{
+		{0, "0.00ms"},
+		{850, "0.85ms"},
+		{45_120, "45.12ms"},
+		{999_000, "999.00ms"},
+		{1_000_000, "1.0s"},
+		{61_500_000, "1m01.5s"},
+	} {
+		if got := usDur(c.us); got != c.want {
+			t.Errorf("usDur(%d) = %q, want %q", c.us, got, c.want)
+		}
+	}
+
+	var buf strings.Builder
+	if err := run([]string{"-app", "Taobao", "-scale", "0.05", "-config", "cto"}, &buf); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
+	}
+	line := regexp.MustCompile(`(?m)^config cto: .*$`).FindString(buf.String())
+	durs := regexp.MustCompile(`(build|compile|outline|link|stage sum) ([^ ,;)]+)`).FindAllStringSubmatch(line, -1)
+	if len(durs) != 5 {
+		t.Fatalf("summary line has %d durations, want 5: %q", len(durs), line)
+	}
+	unit := regexp.MustCompile(`^(\d+\.\d\dms|\d+\.\ds|\d+m\d\d\.\ds)$`)
+	for _, d := range durs {
+		if !unit.MatchString(d[2]) || d[2] == "0.0s" {
+			t.Errorf("%s renders as %q in %q", d[1], d[2], line)
+		}
 	}
 }
 

@@ -226,16 +226,20 @@ func (mc *methodCtx) checkMetadata() {
 	// than bl (calls are external references, not intra-method relocs)
 	// should have a record, or the rewriter will move code out from under
 	// it.
-	recorded := make(map[int]bool, len(mc.rec.Meta.PCRel))
+	// Records outside the method or off a word boundary were reported
+	// above and can match no instruction.
+	recorded := newBitset(len(mc.words))
 	for _, rel := range mc.rec.Meta.PCRel {
-		recorded[rel.InstOff] = true
+		if w := rel.InstOff / a64.WordSize; rel.InstOff >= 0 && rel.InstOff%a64.WordSize == 0 && w < len(mc.words) {
+			recorded.set(w)
+		}
 	}
 	for w := range mc.words {
 		if !mc.decoded[w] {
 			continue
 		}
 		inst := mc.insts[w]
-		if inst.Op.IsPCRel() && inst.Op != a64.OpBl && !recorded[w*a64.WordSize] {
+		if inst.Op.IsPCRel() && inst.Op != a64.OpBl && !recorded.has(w) {
 			mc.warnf(w*a64.WordSize, RuleMetadata,
 				"%s has no PC-relative record; outlining this method would break it", inst.Op)
 		}

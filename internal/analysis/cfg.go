@@ -62,7 +62,7 @@ type methodCtx struct {
 	decoded []bool
 
 	sound       bool          // every non-data word decodes; deep passes are meaningful
-	switchSuccs map[int][]int // br word index -> resolved target word indices
+	switchSuccs map[int][]int // br word index -> resolved target word indices; nil without a br
 	cfg         *CFG
 	blockAt     []int // word index -> block index, -1 for data/none
 	reach       []bool
@@ -74,12 +74,11 @@ func newMethodCtx(l *layout, r region, fs *findings) *methodCtx {
 	n := r.size / a64.WordSize
 	mc := &methodCtx{
 		l: l, r: r, rec: rec, fs: fs,
-		words:       l.words(r),
-		data:        make([]bool, n),
-		insts:       make([]a64.Inst, n),
-		decoded:     make([]bool, n),
-		sound:       true,
-		switchSuccs: map[int][]int{},
+		words:   l.words(r),
+		data:    make([]bool, n),
+		insts:   make([]a64.Inst, n),
+		decoded: make([]bool, n),
+		sound:   true,
 	}
 	for _, d := range rec.Meta.EmbeddedData {
 		if d.Start < 0 || d.End < d.Start || d.End > r.size || d.Start%a64.WordSize != 0 {
@@ -160,6 +159,9 @@ func (mc *methodCtx) checkCFI() {
 			mc.calls++
 		case a64.OpBr:
 			if targets, ok := mc.resolveSwitch(w); ok {
+				if mc.switchSuccs == nil {
+					mc.switchSuccs = map[int][]int{}
+				}
 				mc.switchSuccs[w] = targets
 			}
 			if !mc.rec.Meta.HasIndirectJump {
@@ -334,7 +336,14 @@ func (mc *methodCtx) recoverCFG() {
 		}
 	}
 
-	cfg := &CFG{}
+	// Every decoded leader starts a block.
+	nblocks := 0
+	for w := 0; w < n; w++ {
+		if leader[w] && mc.decoded[w] {
+			nblocks++
+		}
+	}
+	cfg := &CFG{Blocks: make([]Block, 0, nblocks)}
 	mc.blockAt = make([]int, n)
 	for i := range mc.blockAt {
 		mc.blockAt[i] = -1
@@ -359,11 +368,14 @@ func (mc *methodCtx) recoverCFG() {
 		w++
 	}
 
-	// Successor edges, now that block indices are final.
+	// Successor edges, now that block indices are final. Every block's
+	// list is a capped window of one per-method slice.
+	succs := make([]int, 0, 2*len(cfg.Blocks))
 	for bi := range cfg.Blocks {
 		b := &cfg.Blocks[bi]
 		last := b.End/a64.WordSize - 1
 		inst := mc.insts[last]
+		first := len(succs)
 		fall := func() {
 			next := b.End / a64.WordSize
 			switch {
@@ -374,13 +386,13 @@ func (mc *methodCtx) recoverCFG() {
 				mc.errf(b.End-a64.WordSize, RuleBranchTarget,
 					"control falls through into embedded data at %#x", b.End)
 			default:
-				b.Succs = append(b.Succs, mc.blockAt[next])
+				succs = append(succs, mc.blockAt[next])
 			}
 		}
 		local := func() {
 			t := last*a64.WordSize + int(inst.Imm)
 			if t >= 0 && t < mc.r.size && t%a64.WordSize == 0 && mc.blockAt[t/a64.WordSize] >= 0 {
-				b.Succs = append(b.Succs, mc.blockAt[t/a64.WordSize])
+				succs = append(succs, mc.blockAt[t/a64.WordSize])
 			}
 		}
 		switch {
@@ -395,13 +407,16 @@ func (mc *methodCtx) recoverCFG() {
 			b.Term = inst.Op
 			for _, t := range mc.switchSuccs[last] {
 				if mc.blockAt[t] >= 0 {
-					b.Succs = append(b.Succs, mc.blockAt[t])
+					succs = append(succs, mc.blockAt[t])
 				}
 			}
 		case inst.Op == a64.OpRet, inst.Op == a64.OpBrk:
 			b.Term = inst.Op
 		default:
 			fall() // block split by a leader or a data run
+		}
+		if len(succs) > first {
+			b.Succs = succs[first:len(succs):len(succs)]
 		}
 	}
 	mc.cfg = cfg
@@ -440,6 +455,16 @@ func (mc *methodCtx) markReachable() {
 		}
 	}
 }
+
+// bitset is a fixed-size set of small non-negative integers (block or
+// word indices).
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
+func (b bitset) clear(i int)    { b[i/64] &^= 1 << (i % 64) }
+func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
 func describeRegion(r region) string {
 	if r.kind == regionMethod {

@@ -1,7 +1,8 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/a64"
 	"repro/internal/codegen"
@@ -21,12 +22,12 @@ import (
 //
 // The abstraction is deliberately small: sp is an exact byte delta from
 // entry, each register is either clean (still holds its entry value) or
-// dirty, and the only memory modeled is the method's own frame, as a map
-// from entry-relative sp offsets to the callee-saved register whose entry
-// value was spilled there. Calls clobber the AAPCS caller-saved set;
-// calls into outlined functions replay the blob body inline, because an
-// outlined prologue/epilogue fragment saves or restores registers on the
-// caller's behalf.
+// dirty, and the only memory modeled is the method's own frame, as an
+// offset-sorted list of entry-relative sp offsets paired with the
+// callee-saved register whose entry value was spilled there. Calls
+// clobber the AAPCS caller-saved set; calls into outlined functions
+// replay the blob body inline, because an outlined prologue/epilogue
+// fragment saves or restores registers on the caller's behalf.
 
 // spUnknown poisons the sp delta after an untracked sp write.
 const spUnknown = int64(-1) << 62
@@ -39,23 +40,28 @@ const calleeSavedMask = 0x3FF8_0000
 // callerSavedMask covers x0..x17, clobbered by any real call.
 const callerSavedMask = 0x0003_FFFF
 
-// absState is the abstract machine state at one program point.
+// slot is one tracked frame save: the register whose entry value was
+// spilled at entry-relative sp offset off.
+type slot struct {
+	off int64
+	reg a64.Reg
+}
+
+// absState is the abstract machine state at one program point. It is a
+// plain value that owns its slot buffer: copyFrom and mergeInto reuse the
+// buffer in place, so the fixpoint allocates only when a frame grows past
+// it. Never copy an absState by assignment; the copy would share the
+// buffer.
 type absState struct {
-	sp    int64             // sp delta from method entry, in bytes
-	dirty uint32            // bit r: xr no longer holds its entry value
-	slots map[int64]a64.Reg // entry-relative frame offset -> reg saved there
+	sp    int64  // sp delta from method entry, in bytes
+	dirty uint32 // bit r: xr no longer holds its entry value
+	slots []slot // tracked saves, ascending by off, offsets unique
 }
 
-func newEntryState() *absState {
-	return &absState{slots: map[int64]a64.Reg{}}
-}
-
-func (s *absState) clone() *absState {
-	c := &absState{sp: s.sp, dirty: s.dirty, slots: make(map[int64]a64.Reg, len(s.slots))}
-	for k, v := range s.slots {
-		c.slots[k] = v
-	}
-	return c
+// copyFrom makes s an independent copy of src, reusing s's slot buffer.
+func (s *absState) copyFrom(src *absState) {
+	s.sp, s.dirty = src.sp, src.dirty
+	s.slots = append(s.slots[:0], src.slots...)
 }
 
 // mergeInto folds s into dst, reporting whether dst changed and whether
@@ -74,13 +80,40 @@ func (s *absState) mergeInto(dst *absState) (changed, spConflict bool) {
 		dst.dirty = d
 		changed = true
 	}
-	for k, v := range dst.slots {
-		if s.slots[k] != v {
-			delete(dst.slots, k)
-			changed = true
+	// Intersect in place: a save survives only where both paths hold the
+	// same register at the same offset. Both lists are sorted by offset.
+	kept, j := dst.slots[:0], 0
+	for _, d := range dst.slots {
+		for j < len(s.slots) && s.slots[j].off < d.off {
+			j++
+		}
+		if j < len(s.slots) && s.slots[j] == d {
+			kept = append(kept, d)
 		}
 	}
+	if len(kept) != len(dst.slots) {
+		dst.slots = kept
+		changed = true
+	}
 	return changed, spConflict
+}
+
+// find returns the index of the slot at offset off, or the index where it
+// would be inserted, and whether it is present. Frames hold a handful of
+// saves, so a linear scan suffices.
+func (s *absState) find(off int64) (int, bool) {
+	i := 0
+	for i < len(s.slots) && s.slots[i].off < off {
+		i++
+	}
+	return i, i < len(s.slots) && s.slots[i].off == off
+}
+
+// kill forgets whatever save the slot at addr held.
+func (s *absState) kill(addr int64) {
+	if i, ok := s.find(addr); ok {
+		s.slots = slices.Delete(s.slots, i, i+1)
+	}
 }
 
 func (s *absState) markDirty(r a64.Reg) {
@@ -95,11 +128,16 @@ func (s *absState) isClean(r a64.Reg) bool { return r < 31 && s.dirty&(1<<r) == 
 // Only a clean callee-saved (or link/frame) register produces a tracked
 // save; anything else kills whatever the slot held.
 func (s *absState) store(addr int64, reg a64.Reg) {
-	if reg < 31 && s.isClean(reg) && (calleeSavedMask|1<<a64.LR)&(1<<reg) != 0 {
-		s.slots[addr] = reg
-	} else {
-		delete(s.slots, addr)
+	if !(reg < 31 && s.isClean(reg) && (calleeSavedMask|1<<a64.LR)&(1<<reg) != 0) {
+		s.kill(addr)
+		return
 	}
+	i, ok := s.find(addr)
+	if ok {
+		s.slots[i].reg = reg
+		return
+	}
+	s.slots = slices.Insert(s.slots, i, slot{off: addr, reg: reg})
 }
 
 // load models a read of the frame slot at addr into reg: restoring a
@@ -108,7 +146,7 @@ func (s *absState) load(addr int64, reg a64.Reg) {
 	if reg >= 31 {
 		return
 	}
-	if saved, ok := s.slots[addr]; ok && saved == reg {
+	if i, ok := s.find(addr); ok && s.slots[i].reg == reg {
 		s.dirty &^= 1 << reg
 		return
 	}
@@ -168,7 +206,7 @@ func (mc *methodCtx) transfer(s *absState, off int, inst a64.Inst) bool {
 			if inst.Sf {
 				s.store(s.sp+inst.Imm, inst.Rd)
 			} else {
-				delete(s.slots, s.sp+inst.Imm)
+				s.kill(s.sp + inst.Imm)
 			}
 		}
 
@@ -251,7 +289,9 @@ func (mc *methodCtx) checkRet(s *absState, off int, inst a64.Inst) {
 
 // runDataflow drives the worklist to a fixpoint over the recovered CFG.
 // It requires a sound decode (checkCFI found every word an instruction)
-// and a recovered CFG.
+// and a recovered CFG. Blocks are visited in FIFO order; in[b] is
+// meaningful once seen[b] is set, and st is the one scratch state the
+// transfer function runs on.
 func (mc *methodCtx) runDataflow() {
 	if !mc.sound || mc.cfg == nil || len(mc.cfg.Blocks) == 0 {
 		return
@@ -259,25 +299,26 @@ func (mc *methodCtx) runDataflow() {
 	mc.checkStackProbe()
 
 	n := len(mc.cfg.Blocks)
-	in := make([]*absState, n)
-	in[0] = newEntryState()
-	spReported := make([]bool, n)
-	work := []int{0}
-	queued := make([]bool, n)
-	queued[0] = true
+	in := make([]absState, n)
+	seen, queued, spReported := newBitset(n), newBitset(n), newBitset(n)
+	seen.set(0)
+	queued.set(0)
+	work := make([]int, 1, n)
+	var st absState
+	var arena []slot
+	nseen := 1
 	steps := 0
-	for len(work) > 0 {
-		bi := work[0]
-		work = work[1:]
-		queued[bi] = false
+	for head := 0; head < len(work); head++ {
+		bi := work[head]
+		queued.clear(bi)
 		if steps++; steps > 4*n+64 {
 			return // defensive bound; the lattice converges long before this
 		}
-		st := in[bi].clone()
+		st.copyFrom(&in[bi])
 		b := mc.cfg.Blocks[bi]
 		okPath := true
 		for w := b.Start / a64.WordSize; w < b.End/a64.WordSize; w++ {
-			if !mc.transfer(st, w*a64.WordSize, mc.insts[w]) {
+			if !mc.transfer(&st, w*a64.WordSize, mc.insts[w]) {
 				okPath = false
 				break
 			}
@@ -286,23 +327,32 @@ func (mc *methodCtx) runDataflow() {
 			continue
 		}
 		for _, succ := range b.Succs {
-			if in[succ] == nil {
-				in[succ] = st.clone()
-				if !queued[succ] {
-					work = append(work, succ)
-					queued[succ] = true
+			changed := true
+			if !seen.has(succ) {
+				// An in-state is written once and afterwards only shrinks
+				// under mergeInto, so its slots are carved, capped, from
+				// a per-method arena. A new chunk is sized as if every
+				// block still unseen will hold this many saves.
+				seen.set(succ)
+				if cap(arena)-len(arena) < len(st.slots) {
+					arena = make([]slot, 0, len(st.slots)*(n-nseen))
 				}
-				continue
+				nseen++
+				start := len(arena)
+				arena = append(arena, st.slots...)
+				in[succ] = absState{sp: st.sp, dirty: st.dirty, slots: arena[start:len(arena):len(arena)]}
+			} else {
+				var conflict bool
+				changed, conflict = st.mergeInto(&in[succ])
+				if conflict && !spReported.has(succ) {
+					spReported.set(succ)
+					mc.errf(mc.cfg.Blocks[succ].Start, RuleSPBalance,
+						"paths reach this block with different sp adjustments")
+				}
 			}
-			changed, conflict := st.mergeInto(in[succ])
-			if conflict && !spReported[succ] {
-				spReported[succ] = true
-				mc.errf(mc.cfg.Blocks[succ].Start, RuleSPBalance,
-					"paths reach this block with different sp adjustments")
-			}
-			if changed && !queued[succ] {
+			if changed && !queued.has(succ) {
 				work = append(work, succ)
-				queued[succ] = true
+				queued.set(succ)
 			}
 		}
 	}
@@ -367,28 +417,16 @@ func (mc *methodCtx) checkStackProbe() {
 	}
 }
 
-// regList renders a register bitmask for diagnostics.
+// regList renders a register bitmask for diagnostics, ascending.
 func regList(mask uint32) string {
-	var regs []int
+	out := ""
 	for r := 0; r < 31; r++ {
 		if mask&(1<<r) != 0 {
-			regs = append(regs, r)
+			if out != "" {
+				out += ","
+			}
+			out += "x" + strconv.Itoa(r)
 		}
-	}
-	sort.Ints(regs)
-	out := ""
-	for i, r := range regs {
-		if i > 0 {
-			out += ","
-		}
-		out += "x" + itoa(r)
 	}
 	return out
-}
-
-func itoa(v int) string {
-	if v < 10 {
-		return string(rune('0' + v))
-	}
-	return itoa(v/10) + string(rune('0'+v%10))
 }

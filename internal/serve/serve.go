@@ -334,12 +334,15 @@ func (s *Server) finishJob(j *job, out *buildOutput, err error) {
 	}
 	state, errMsg := j.state, j.errMsg
 	started, finished := j.dequeued, j.finished
+	// Count the latency before waking waiters or releasing the lock: a
+	// client that sees the terminal state also sees the job in
+	// calibrod_job_duration_seconds.
+	wall := finished.Sub(j.submitted)
+	s.jobDur.Observe(wall.Microseconds())
 	close(j.doneCh)
 	j.mu.Unlock()
 	j.cancel() // release the deadline timer
 
-	wall := finished.Sub(j.submitted)
-	s.jobDur.Observe(wall.Microseconds())
 	if !started.IsZero() {
 		// The run span is named by outcome, so the serve lane of the
 		// global trace reads as a timeline of terminal states.
