@@ -37,10 +37,12 @@ test-short:
 race:
 	$(GO) test -race -short ./...
 
-# fuzz gives the serialization, lint, call-graph, lint-dataflow, and
-# remote-cache wire fuzzers a short budget each. FuzzDataflow requires
-# the lint's slot-list frame model to agree with the reference map
-# model. FuzzRemoteFrame attacks the client half of the cache protocol
+# fuzz gives the serialization, lint, call-graph, lint-dataflow,
+# suffix-array, and remote-cache wire fuzzers a short budget each.
+# FuzzDataflow requires the lint's slot-list frame model to agree with
+# the reference map model. FuzzSuffixArray requires a sorted permutation
+# and a direct-comparison LCP over dense and sparse alphabets.
+# FuzzRemoteFrame attacks the client half of the cache protocol
 # (hostile server responses), FuzzRemoteRequest the server half
 # (hostile client requests).
 fuzz:
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/analysis -run xxx -fuzz FuzzCallGraph -fuzztime 20s
 	$(GO) test ./internal/analysis -run xxx -fuzz FuzzDataflow -fuzztime 20s
 	$(GO) test ./internal/reoutline -run xxx -fuzz FuzzLift -fuzztime 20s
+	$(GO) test ./internal/suffixarray -run xxx -fuzz FuzzSuffixArray -fuzztime 20s
 
 # bench regenerates the paper's tables and figures.
 bench:
@@ -73,8 +76,9 @@ bench-cache:
 	$(GO) test -run xxx -bench 'BenchmarkBuildColdVsWarm' -benchmem . \
 		| $(GO) run ./cmd/benchjson -o BENCH_cache.json
 
-# bench-smoke is the ci guard for the same benchmarks and for the lint
-# benchmark (BenchmarkLint): one iteration each at the -short scale,
+# bench-smoke is the ci guard for the same benchmarks, the lint
+# benchmark (BenchmarkLint) and the suffix-array construction benchmark
+# (BenchmarkSuffixArrayBuild): one iteration each at the -short scale,
 # proving they still run — plus the -j scaling assertion
 # (BenchmarkCompileScalingSmoke), which fails the build if a j=8
 # compile stops beating j=1 by at least 1.5x. The assertion
@@ -83,6 +87,7 @@ bench-cache:
 bench-smoke:
 	$(GO) test -short -run xxx -bench 'BenchmarkCompileWorkers|BenchmarkCompileScalingSmoke|BenchmarkBuildTraced|BenchmarkBuildColdVsWarm' -benchtime 1x . >/dev/null
 	$(GO) test -short -run xxx -bench 'BenchmarkLint' -benchtime 1x ./internal/analysis >/dev/null
+	$(GO) test -short -run xxx -bench 'BenchmarkSuffixArrayBuild' -benchtime 1x ./internal/outline >/dev/null
 
 # serve-smoke boots calibrod on a random port, drives one job end to end
 # via calibroctl, checks /healthz and /metrics, and requires a clean

@@ -480,8 +480,11 @@ func BenchmarkTable7_Cycles(b *testing.B) {
 
 // --- component microbenchmarks ---
 
-// BenchmarkSuffixTreeBuild measures Ukkonen construction throughput on a
-// whole-app instruction sequence.
+// BenchmarkSuffixTreeBuild times the §2.2 redundancy analysis
+// (outline.Analyze) on a whole app: symbolizing every method under the
+// outliner's boundary rules, building the suffix array, and the greedy
+// saving estimate. BenchmarkSuffixArrayBuild in internal/outline times
+// the construction alone.
 func BenchmarkSuffixTreeBuild(b *testing.B) {
 	apps := suite(b)
 	res := build(b, apps[1], "baseline") // Taobao, the smallest
@@ -689,12 +692,13 @@ func BenchmarkOutlineParallel8(b *testing.B) {
 	}
 }
 
-// BenchmarkSuffixArrayScaling demonstrates the §3.4.1 mechanism behind
-// Table 6 on the repo's detector: construction cost per symbol grows with
-// sequence length — the effect that makes one global structure over
-// millions of instructions slower than K small ones, and that the paper's
-// suffix tree suffers on its 8 GB device. Run the sub-benchmarks and
-// compare ns/symbol across sizes.
+// BenchmarkSuffixArrayScaling probes the §3.4.1 mechanism behind Table 6
+// on the repo's detector: whether construction cost per symbol grows with
+// sequence length — the effect that makes the paper's global suffix tree
+// over millions of instructions slower than K small ones on its 8 GB
+// device. Run the sub-benchmarks and compare ns/symbol across sizes; the
+// separators start at 1<<20, so the two smaller sizes take the builder's
+// sparse-alphabet first pass and the two larger ones its counting pass.
 func BenchmarkSuffixArrayScaling(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 18, 1 << 20, 1 << 21} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

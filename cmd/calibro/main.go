@@ -415,7 +415,9 @@ func usDur(us int64) string {
 
 // printTelemetry renders the one-screen build telemetry table: stage wall
 // clocks, per-category task distributions with their queue waits, worker
-// occupancy, and the recorded counters.
+// occupancy, and the recorded counters. Queue waits of concurrent tasks
+// overlap, so their sum is no wall clock and the queue-wait row leaves the
+// total column empty.
 func printTelemetry(out io.Writer, snap *obs.Snapshot) {
 	t := &report.Table{
 		Title:  "\nbuild telemetry",
@@ -438,7 +440,7 @@ func printTelemetry(out io.Writer, snap *obs.Snapshot) {
 		ts := snap.Tasks[cat]
 		t.AddRow(cat, fmt.Sprint(ts.Count), usDur(ts.TotalUS), usDur(ts.P50US), usDur(ts.P95US), usDur(ts.MaxUS))
 		if qs, ok := snap.QueueWait[cat]; ok {
-			t.AddRow("  queue wait", "", usDur(qs.TotalUS), usDur(qs.P50US), usDur(qs.P95US), usDur(qs.MaxUS))
+			t.AddRow("  queue wait", "", "", usDur(qs.P50US), usDur(qs.P95US), usDur(qs.MaxUS))
 		}
 	}
 	fmt.Fprintln(out, t)

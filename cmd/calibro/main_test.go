@@ -4,11 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dex"
 	"repro/internal/oat"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -106,6 +108,34 @@ func TestRunSummaryUnits(t *testing.T) {
 		if !unit.MatchString(d[2]) || d[2] == "0.0s" {
 			t.Errorf("%s renders as %q in %q", d[1], d[2], line)
 		}
+	}
+}
+
+// TestTelemetryQueueWaitHasNoTotal checks the -stats table: queue waits
+// of overlapping tasks do not add up to a wall clock, so the queue-wait
+// row shows only p50/p95/max while its task row keeps the total.
+func TestTelemetryQueueWaitHasNoTotal(t *testing.T) {
+	snap := &obs.Snapshot{
+		Stages:    map[string]int64{"compile": 40_000},
+		Tasks:     map[string]obs.TaskStats{"compile": {Count: 200, TotalUS: 70_000, P50US: 300, P95US: 900, MaxUS: 1_200}},
+		QueueWait: map[string]obs.TaskStats{"compile": {Count: 200, TotalUS: 7_900_000, P50US: 39_000, P95US: 39_800, MaxUS: 39_900}},
+	}
+	var buf strings.Builder
+	printTelemetry(&buf, snap)
+	out := buf.String()
+	task := regexp.MustCompile(`(?m)^compile +200 +(\S+) `).FindStringSubmatch(out)
+	if task == nil || task[1] != "70.00ms" {
+		t.Errorf("compile task row lost its total:\n%s", out)
+	}
+	wait := regexp.MustCompile(`(?m)^  queue wait +(.*)$`).FindStringSubmatch(out)
+	if wait == nil {
+		t.Fatalf("no queue wait row:\n%s", out)
+	}
+	if got, want := strings.Fields(wait[1]), []string{"39.00ms", "39.80ms", "39.90ms"}; !slices.Equal(got, want) {
+		t.Errorf("queue wait cells = %q, want only p50/p95/max %q", got, want)
+	}
+	if strings.Contains(out, "7.9s") {
+		t.Errorf("table shows the summed queue wait:\n%s", out)
 	}
 }
 

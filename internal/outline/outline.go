@@ -137,7 +137,7 @@ type Stats struct {
 	// time of the whole rewrite fan-out. Across rounds they accumulate.
 	SepScan   time.Duration // per-method separator scans (inside buildSequence)
 	Symbolize time.Duration // sequence symbol interning (serial per group)
-	TreeBuild time.Duration
+	TreeBuild time.Duration // suffix-array plus LCP construction (perfbench reads this name)
 	Detect    time.Duration
 	Rewrite   time.Duration
 }

@@ -1,11 +1,18 @@
 // Package suffixarray is Calibro's repeat detector: a suffix array with an
-// LCP table over sequences of uint32 symbols, built by prefix doubling
-// (O(n log² n)) with Kasai's LCP algorithm (O(n)). The paper uses
-// Ukkonen's suffix tree (§2.1.2, §3.3.2); the LCP intervals of a suffix
-// array are exactly the suffix tree's internal nodes, so the same repeat
-// families come out of three integer arrays instead of a pointer-and-map
-// tree — the memory footprint the paper's global tree exhausts at
-// production scale (§3.4/§4.4).
+// LCP table over sequences of uint32 symbols. The paper uses Ukkonen's
+// suffix tree (§2.1.2, §3.3.2); the LCP intervals of a suffix array are
+// exactly the suffix tree's internal nodes, so the same repeat families
+// come out of three integer arrays instead of a pointer-and-map tree — the
+// memory footprint the paper's global tree exhausts at production scale
+// (§3.4/§4.4).
+//
+// Construction is Manber–Myers prefix doubling with counting sorts: a
+// first pass sorts suffixes by their leading symbol, and each round
+// doubles the sorted prefix length in O(n) with a linear pass for the
+// second key and a stable counting sort by the first. Construction stops
+// once every suffix has its own class, after ⌈log₂(L+1)⌉+1 passes where
+// L is the longest repeat (the maximum LCP), so the whole build costs
+// O(n log L). Kasai's algorithm (O(n)) then fills the LCP table.
 //
 // Sequences are instruction words mapped to symbols by the outliner; every
 // basic-block terminator is mapped to a symbol unique to its position, so
@@ -16,7 +23,7 @@ package suffixarray
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Array is a built suffix array with its LCP table.
@@ -26,64 +33,95 @@ type Array struct {
 	lcp []int32 // lcp[i] = longest common prefix of sa[i-1] and sa[i]; lcp[0]=0
 }
 
-// Build constructs the suffix array of seq. The caller terminates
-// sequences with unique separator symbols.
+// Build constructs the suffix array of seq. A suffix that is a proper
+// prefix of another sorts first. The caller terminates sequences with
+// unique separator symbols.
 func Build(seq []uint32) *Array {
 	n := len(seq)
 	a := &Array{seq: seq, sa: make([]int32, n), lcp: make([]int32, n)}
 	if n == 0 {
 		return a
 	}
-
-	// Prefix doubling. rank holds the sort key of each suffix for the
-	// current prefix length k; tmp is the scratch for recomputed ranks.
-	rank := make([]int64, n)
-	tmp := make([]int64, n)
-	for i, s := range seq {
-		a.sa[i] = int32(i)
-		rank[i] = int64(s)
-	}
-	key := func(i int32, k int) int64 {
-		if int(i)+k < n {
-			return rank[int(i)+k]
+	sa := a.sa
+	// rank[i] is the class of suffix i under the current prefix length:
+	// the sa position where its class begins, so suffixes with equal
+	// prefixes share a rank and ranks order like the prefixes. cur is the
+	// counting sort's per-class cursor, and order (the LCP table, unused
+	// until Kasai) holds the suffixes ordered by the second key.
+	rank := make([]int32, n)
+	cur := make([]int32, n)
+	order := a.lcp
+	sortBySymbol(seq, sa, cur)
+	classes := 1
+	rank[sa[0]] = 0
+	for i := 1; i < n; i++ {
+		if seq[sa[i]] != seq[sa[i-1]] {
+			classes++
+			rank[sa[i]] = int32(i)
+		} else {
+			rank[sa[i]] = rank[sa[i-1]]
 		}
-		return -1
 	}
-	for k := 1; ; k *= 2 {
-		sort.Slice(a.sa, func(x, y int) bool {
-			ix, iy := a.sa[x], a.sa[y]
-			if rank[ix] != rank[iy] {
-				return rank[ix] < rank[iy]
+
+	for k := 1; classes < n; k *= 2 {
+		// Order by the second key, the rank of suffix s+k. Suffixes with
+		// s+k >= n have none and come first, so a proper prefix sorts
+		// before its extensions; then s = sa[j]-k in the order of sa.
+		j := 0
+		for i := max(n-k, 0); i < n; i++ {
+			order[j] = int32(i)
+			j++
+		}
+		for _, s := range sa {
+			if int(s) >= k {
+				order[j] = s - int32(k)
+				j++
 			}
-			return key(ix, k) < key(iy, k)
-		})
-		tmp[a.sa[0]] = 0
+		}
+		// Stable counting sort by the first key. A class's bucket starts
+		// at its rank, so the cursors start at the identity.
+		for i := range cur {
+			cur[i] = int32(i)
+		}
+		for _, s := range order {
+			r := rank[s]
+			sa[cur[r]] = s
+			cur[r]++
+		}
+		// Re-rank into cur: a new class begins wherever the (first,
+		// second) key pair changes along sa.
+		second := func(s int32) int32 {
+			if int(s)+k < n {
+				return rank[int(s)+k]
+			}
+			return -1
+		}
+		next := cur
+		next[sa[0]] = 0
+		classes = 1
 		for i := 1; i < n; i++ {
-			prev, cur := a.sa[i-1], a.sa[i]
-			tmp[cur] = tmp[prev]
-			if rank[prev] != rank[cur] || key(prev, k) != key(cur, k) {
-				tmp[cur]++
+			p, s := sa[i-1], sa[i]
+			if rank[p] != rank[s] || second(p) != second(s) {
+				classes++
+				next[s] = int32(i)
+			} else {
+				next[s] = next[p]
 			}
 		}
-		copy(rank, tmp)
-		if rank[a.sa[n-1]] == int64(n-1) {
-			break // all distinct: fully sorted
-		}
+		rank, cur = next, rank
 	}
 
-	// Kasai's LCP.
-	pos := make([]int32, n) // suffix -> position in sa
-	for i, s := range a.sa {
-		pos[s] = int32(i)
-	}
+	// Kasai's LCP. Every class is a singleton now, so rank[i] is the
+	// position of suffix i in sa: the inverse array Kasai walks.
+	a.lcp[0] = 0
 	h := 0
 	for i := 0; i < n; i++ {
-		p := pos[i]
+		p := rank[i]
 		if p == 0 {
 			h = 0
 			continue
 		}
-		j := int(a.sa[p-1])
+		j := int(sa[p-1])
 		for i+h < n && j+h < n && seq[i+h] == seq[j+h] {
 			h++
 		}
@@ -93,6 +131,46 @@ func Build(seq []uint32) *Array {
 		}
 	}
 	return a
+}
+
+// sortBySymbol fills sa with the positions of seq ordered by symbol. The
+// outliner's symbolizer emits dense ids below len(seq), which a counting
+// sort (counts in scratch when they fit) orders in O(n); arbitrary uint32
+// alphabets with a largest symbol of 2n or more fall back to sorting
+// packed (symbol, position) keys.
+func sortBySymbol(seq []uint32, sa, scratch []int32) {
+	n := len(seq)
+	top := slices.Max(seq)
+	if uint64(top) >= 2*uint64(n) {
+		keys := make([]uint64, n)
+		for i, s := range seq {
+			keys[i] = uint64(s)<<32 | uint64(i)
+		}
+		slices.Sort(keys)
+		for i, key := range keys {
+			sa[i] = int32(uint32(key))
+		}
+		return
+	}
+	var cnt []int32
+	if int(top) < n {
+		cnt = scratch[:top+1]
+		clear(cnt)
+	} else {
+		cnt = make([]int32, top+1)
+	}
+	for _, s := range seq {
+		cnt[s]++
+	}
+	sum := int32(0)
+	for s, c := range cnt {
+		cnt[s] = sum
+		sum += c
+	}
+	for i, s := range seq {
+		sa[cnt[s]] = int32(i)
+		cnt[s]++
+	}
 }
 
 // Len returns the sequence length.
