@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet lint test test-short race fuzz bench bench-obs bench-cache bench-smoke serve-smoke replay-smoke fleet-smoke bench-serve reoutline-smoke bench-reoutline
+.PHONY: ci build vet lint test test-short race fuzz bench bench-smoke serve-smoke replay-smoke fleet-smoke reoutline-smoke perfbench-vet
 
 # ci is the gate every change must pass: compile everything, lint
 # everything (vet always, staticcheck when installed), run the full test
@@ -8,8 +8,9 @@ GO ?= go
 # fans out per-method work since -j), smoke the observability benchmarks,
 # smoke the serving daemon, replay the fixed-seed workload with its
 # asserted served/rejected counts, smoke the multi-daemon fleet against a
-# shared calibrocached, and smoke the post-hoc re-outlining pipeline.
-ci: build lint test race bench-smoke serve-smoke replay-smoke fleet-smoke reoutline-smoke
+# shared calibrocached, smoke the post-hoc re-outlining pipeline, and
+# vet and test the perfbench harness against the current API.
+ci: build lint test race bench-smoke serve-smoke replay-smoke fleet-smoke reoutline-smoke perfbench-vet
 
 build:
 	$(GO) build ./...
@@ -60,30 +61,14 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-obs measures the parallel-build and telemetry benchmarks and
-# appends a timestamped run (ns/op per case, extra metrics, host CPU
-# count) to BENCH_obs.json via cmd/benchjson -append, so the scaling
-# history across commits stays diffable instead of each run clobbering
-# the last.
-bench-obs:
-	$(GO) test -run xxx -bench 'BenchmarkCompileWorkers|BenchmarkBuildTraced' -benchmem . \
-		| $(GO) run ./cmd/benchjson -append -o BENCH_obs.json
-
-# bench-cache measures the cold-vs-warm compilation cache benchmark on
-# the largest app and archives the results (warm/cold ns/op plus the warm
-# hit rate) in BENCH_cache.json via cmd/benchjson.
-bench-cache:
-	$(GO) test -run xxx -bench 'BenchmarkBuildColdVsWarm' -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_cache.json
-
-# bench-smoke is the ci guard for the same benchmarks, the lint
-# benchmark (BenchmarkLint) and the suffix-array construction benchmark
-# (BenchmarkSuffixArrayBuild): one iteration each at the -short scale,
-# proving they still run — plus the -j scaling assertion
-# (BenchmarkCompileScalingSmoke), which fails the build if a j=8
-# compile stops beating j=1 by at least 1.5x. The assertion
-# self-skips on hosts with fewer than 4 CPUs, where the ladder is
-# legitimately flat.
+# bench-smoke is the ci guard for the parallel-build, telemetry and
+# cold-vs-warm cache benchmarks, the lint benchmark (BenchmarkLint) and
+# the suffix-array construction benchmark (BenchmarkSuffixArrayBuild):
+# one iteration each at the -short scale, proving they still run — plus
+# the -j scaling assertion (BenchmarkCompileScalingSmoke), which fails
+# the build if a j=8 compile stops beating j=1 by at least 1.5x. The
+# assertion self-skips on hosts with fewer than 4 CPUs, where the ladder
+# is legitimately flat.
 bench-smoke:
 	$(GO) test -short -run xxx -bench 'BenchmarkCompileWorkers|BenchmarkCompileScalingSmoke|BenchmarkBuildTraced|BenchmarkBuildColdVsWarm' -benchtime 1x . >/dev/null
 	$(GO) test -short -run xxx -bench 'BenchmarkLint' -benchtime 1x ./internal/analysis >/dev/null
@@ -115,16 +100,10 @@ fleet-smoke:
 reoutline-smoke:
 	GO=$(GO) sh scripts/reoutline_smoke.sh
 
-# bench-reoutline measures the post-hoc re-outlining pass per ladder app
-# (bytes saved plus per-stage wall clocks) and appends a timestamped run
-# to BENCH_reoutline.json via cmd/benchjson -append.
-bench-reoutline:
-	$(GO) test -run xxx -bench 'BenchmarkReoutline' -benchmem ./internal/reoutline \
-		| $(GO) run ./cmd/benchjson -append -o BENCH_reoutline.json
-
-# bench-serve replays the seeded serving workload at full scale and
-# appends client-observed latency percentiles, queue wait, cache hit
-# rate, and served/rejected counts to BENCH_serve.json (host CPU count
-# stamped alongside, via cmd/benchjson -append).
-bench-serve:
-	GO=$(GO) sh scripts/bench_serve.sh
+# perfbench-vet compiles, vets and unit-tests the perfbench harness, a
+# separate module that calls the pipeline's context-first entry points
+# (core.BuildCtx, codegen.CompileCtx, outline.RunCtx, analysis.LintCtx,
+# reoutline.RunCtx, par.MapCtx, ...). A change to one of those
+# signatures then fails here rather than in a benchmark run.
+perfbench-vet:
+	cd perfbench && $(GO) vet . && $(GO) test .

@@ -24,11 +24,11 @@ func ablationApp(b *testing.B) *appBundle {
 }
 
 func outlineWith(b *testing.B, ab *appBundle, opts outline.Options) (*oat.Image, *outline.Stats) {
-	methods, err := codegen.Compile(ab.app, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(b.Context(), ab.app, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	blobs, stats, err := outline.Run(methods, opts)
+	blobs, stats, err := outline.RunCtx(b.Context(), methods, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func BenchmarkAblationHotFraction(b *testing.B) {
 				cfg.Profile = prof
 				cfg.HotFraction = frac
 			}
-			res, err := core.Build(ab.app, cfg)
+			res, err := core.BuildCtx(b.Context(), ab.app, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -511,8 +511,8 @@ func BenchmarkCompile(b *testing.B) {
 // BenchmarkCompileWorkers isolates the compile stage across the -j ladder
 // on the WeChat app. On a multi-core host throughput should rise with j;
 // on a single-CPU host the ladder flattens (the pool degrades to a bounded
-// serial walk) and only the allocation numbers are meaningful — which is
-// why BENCH_obs.json records host_cpus next to every run.
+// serial walk) and only the allocation numbers are meaningful, so quote
+// its results together with the host's CPU count.
 func BenchmarkCompileWorkers(b *testing.B) {
 	apps := suite(b)
 	var wechat *appBundle
@@ -532,7 +532,7 @@ func BenchmarkCompileWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				methods, err := codegen.Compile(wechat.app, codegen.Options{
+				methods, err := codegen.CompileCtx(b.Context(), wechat.app, codegen.Options{
 					CTO: true, Optimize: true, Workers: j,
 				})
 				if err != nil {
@@ -571,7 +571,7 @@ func BenchmarkCompileScalingSmoke(b *testing.B) {
 		best := math.MaxFloat64
 		for r := 0; r < 3; r++ {
 			t0 := time.Now()
-			if _, err := codegen.Compile(wechat.app, codegen.Options{
+			if _, err := codegen.CompileCtx(b.Context(), wechat.app, codegen.Options{
 				CTO: true, Optimize: true, Workers: j,
 			}); err != nil {
 				b.Fatal(err)

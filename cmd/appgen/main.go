@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -53,7 +54,7 @@ func main() {
 		app.Name, st.Methods, st.Native, st.Classes, st.Insns)
 	fmt.Printf("drivers: %v\nhot kernels: %d methods\n", man.Drivers, len(man.Hot))
 
-	compiled, err := codegen.Compile(app, codegen.Options{Optimize: true})
+	compiled, err := codegen.CompileCtx(context.Background(), app, codegen.Options{Optimize: true})
 	if err != nil {
 		log.Fatal(err)
 	}

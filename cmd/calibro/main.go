@@ -45,6 +45,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -204,19 +205,20 @@ func run(args []string, out io.Writer) error {
 		c.Cache = cc
 		return c
 	}
+	ctx := context.Background()
 	var res *core.Result
 	var err error
 	switch *config {
 	case "baseline":
-		res, err = core.Build(app, tune(core.Baseline()))
+		res, err = core.BuildCtx(ctx, app, tune(core.Baseline()))
 	case "cto":
-		res, err = core.Build(app, tune(core.CTOOnly()))
+		res, err = core.BuildCtx(ctx, app, tune(core.CTOOnly()))
 	case "ltbo":
-		res, err = core.Build(app, tune(core.CTOLTBO()))
+		res, err = core.BuildCtx(ctx, app, tune(core.CTOLTBO()))
 	case "plopti":
-		res, err = core.Build(app, tune(core.CTOLTBOPl(*trees)))
+		res, err = core.BuildCtx(ctx, app, tune(core.CTOLTBOPl(*trees)))
 	case "hfopti":
-		res, _, err = core.ProfileGuidedBuild(app, tune(core.CTOLTBOPl(*trees)), script)
+		res, _, err = core.ProfileGuidedBuildCtx(ctx, app, tune(core.CTOLTBOPl(*trees)), script)
 	default:
 		return fmt.Errorf("unknown config %q", *config)
 	}
@@ -341,7 +343,7 @@ func runDebloat(out io.Writer, inPath, rootsSpec, outPath string, reoutline bool
 		}
 	}
 	sp := tracer.Start("stage", "debloat").Arg("methods", int64(len(img.Methods)))
-	res, stats, err := core.DebloatImage(img, cfg)
+	res, stats, err := core.DebloatImageCtx(context.Background(), img, cfg)
 	sp.End()
 	if err != nil {
 		return err
@@ -377,7 +379,7 @@ func runDebloat(out io.Writer, inPath, rootsSpec, outPath string, reoutline bool
 // applyReoutline runs the post-hoc re-outliner on an image and reports
 // what it did, returning the rewritten image.
 func applyReoutline(out io.Writer, img *oat.Image, workers int, tracer *obs.Tracer) (*oat.Image, error) {
-	res, st, err := core.ReoutlineImage(img, core.ReoutlineConfig{Workers: workers, Tracer: tracer})
+	res, st, err := core.ReoutlineImageCtx(context.Background(), img, core.ReoutlineConfig{Workers: workers, Tracer: tracer})
 	if err != nil {
 		return nil, err
 	}

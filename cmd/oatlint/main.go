@@ -134,26 +134,17 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	sp := tracer.Start("stage", "lint").Arg("methods", int64(len(img.Methods)))
-	var rep *analysis.Report
-	if *rules == "" {
-		rep = analysis.AnalyzeTraced(img, *workers, tracer)
-	} else {
-		spec, err := analysis.ParseRuleSpec(*rules)
-		if err != nil {
-			sp.End()
-			fmt.Fprintln(errOut, "oatlint:", err)
-			return 2
-		}
-		if orig != nil {
-			rep, err = analysis.RunRulesPaired(context.Background(), img, orig, spec, rootSet, *workers, tracer)
-		} else {
-			rep, err = analysis.RunRules(context.Background(), img, spec, rootSet, *workers, tracer)
-		}
-		if err != nil {
-			sp.End()
-			fmt.Fprintln(errOut, "oatlint:", err)
-			return 2
-		}
+	spec, err := analysis.ParseRuleSpec(*rules)
+	if err != nil {
+		sp.End()
+		fmt.Fprintln(errOut, "oatlint:", err)
+		return 2
+	}
+	rep, err := analysis.RunRules(context.Background(), img, orig, spec, rootSet, *workers, tracer)
+	if err != nil {
+		sp.End()
+		fmt.Fprintln(errOut, "oatlint:", err)
+		return 2
 	}
 	sp.End()
 	if code := writeTelemetry(tracer, *tracePath, *metricsPath, stopProfile, errOut); code != 0 {
@@ -161,7 +152,7 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	if *dumpCG || *dumpRch {
-		cg, _ := analysis.BuildCallGraph(img)
+		cg, _ := analysis.BuildCallGraphCtx(context.Background(), img, *workers)
 		if *dumpCG {
 			if err := cg.WriteDump(out); err != nil {
 				fmt.Fprintln(errOut, "oatlint:", err)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -37,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	methods, err := codegen.Compile(app, codegen.Options{Optimize: true})
+	methods, err := codegen.CompileCtx(context.Background(), app, codegen.Options{Optimize: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,7 @@
 // balance, callee-saved register discipline, and link-register integrity
 // on every path — including paths that route through outlined calls.
 //
-// Where outline.VerifyRewrite is the link-time, metadata-assisted check
+// Where outline.VerifyRewriteCtx is the link-time, metadata-assisted check
 // (it needs the pre-outlining snapshot), this package is the load-time,
 // image-only check: it can lint an image that was marshaled to disk,
 // cached, shipped, and unmarshaled by a different process.
@@ -60,36 +60,17 @@ func (r *Report) ErrorCount() int {
 	return n
 }
 
-// Analyze verifies a linked image and returns the full report. It never
-// panics on malformed input: every structural defect becomes a finding.
-// Per-method passes run on runtime.GOMAXPROCS(0) workers; use
-// AnalyzeParallel to pick the width explicitly.
-func Analyze(img *oat.Image) *Report { return AnalyzeParallel(img, 0) }
-
-// AnalyzeParallel is Analyze with an explicit worker count (<= 0 selects
-// GOMAXPROCS). Each method gets its own finding sink, and per-method
-// findings are merged back in method-region order — the order a serial
-// walk produces — so the report is byte-identical for every width.
-func AnalyzeParallel(img *oat.Image, workers int) *Report {
-	return AnalyzeTraced(img, workers, nil)
-}
-
-// AnalyzeTraced is AnalyzeParallel with telemetry: one span per analyzed
-// method (category "lint", on the worker lane that ran it) plus finding
-// counters on the tracer. A nil tracer records nothing; the report is
-// byte-identical either way.
-func AnalyzeTraced(img *oat.Image, workers int, tracer *obs.Tracer) *Report {
-	// context.Background() never cancels, so the error is impossible.
-	rep, _ := AnalyzeCtx(context.Background(), img, workers, tracer)
-	return rep
-}
-
-// AnalyzeCtx is AnalyzeTraced with cooperative cancellation: the
+// AnalyzeCtx verifies a linked image and returns the full report. It
+// never panics on malformed input: every structural defect becomes a
+// finding. Per-method passes run on workers goroutines (<= 0 selects
+// GOMAXPROCS), each method with its own finding sink; findings come back
+// in canonical (method, offset, rule) order, so the report is
+// byte-identical for every width. The tracer, when non-nil, records one
+// span per analyzed method (category "lint", on the worker lane that ran
+// it) plus finding counters; the report is the same either way. The
 // per-method pool checks ctx before every method, so a cancelled or
 // deadline-expired context stops the analysis promptly and returns
-// (nil, ctx.Err()). With an un-cancellable context the report is exactly
-// AnalyzeTraced's. Findings come back in canonical (method, offset, rule)
-// order regardless of the worker width.
+// (nil, ctx.Err()).
 func AnalyzeCtx(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) (*Report, error) {
 	rep, _, err := analyzeImage(ctx, img, workers, tracer)
 	if err != nil {
@@ -162,21 +143,11 @@ func analyzeImage(ctx context.Context, img *oat.Image, workers int, tracer *obs.
 	return rep, l, nil
 }
 
-// Lint verifies a linked image and returns the findings that matter: all
-// warnings and errors, suppressing advisory (SevInfo) output. A loader
-// that wants a go/no-go answer checks len(Lint(img)) == 0.
-func Lint(img *oat.Image) []Finding { return LintParallel(img, 0) }
-
-// LintParallel is Lint with an explicit worker count (<= 0 selects
-// GOMAXPROCS). Finding order does not depend on the width.
-func LintParallel(img *oat.Image, workers int) []Finding {
-	out, _ := LintCtx(context.Background(), img, workers, nil)
-	return out
-}
-
-// LintCtx is LintParallel with per-method telemetry recorded on the
-// tracer (see AnalyzeTraced; findings are identical either way) and
-// cooperative cancellation (see AnalyzeCtx).
+// LintCtx verifies a linked image and returns the findings that matter:
+// all warnings and errors, suppressing advisory (SevInfo) output. A
+// loader that wants a go/no-go answer checks for an empty result. Width,
+// telemetry and cancellation behave as in AnalyzeCtx; finding order does
+// not depend on the width.
 func LintCtx(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) ([]Finding, error) {
 	rep, err := AnalyzeCtx(ctx, img, workers, tracer)
 	if err != nil {

@@ -39,6 +39,26 @@ func findMethodWith(img *oat.Image, pred func(a64.Inst) bool) int {
 	return -1
 }
 
+// lint runs LintCtx at the default width under the test's context.
+func lint(t testing.TB, img *oat.Image) []analysis.Finding {
+	t.Helper()
+	out, err := analysis.LintCtx(t.Context(), img, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// analyze runs AnalyzeCtx at the given width under the test's context.
+func analyze(t testing.TB, img *oat.Image, workers int) *analysis.Report {
+	t.Helper()
+	rep, err := analysis.AnalyzeCtx(t.Context(), img, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // setWord rewrites one word of method m at byte offset off.
 func setWord(img *oat.Image, m, off int, word uint32) {
 	img.Text[(img.Methods[m].Offset+off)/a64.WordSize] = word
@@ -48,7 +68,7 @@ func setWord(img *oat.Image, m, off int, word uint32) {
 // finding under rule naming the given method and offset.
 func wantFinding(t *testing.T, img *oat.Image, rule string, m dex.MethodID, off int) {
 	t.Helper()
-	findings := analysis.Lint(img)
+	findings := lint(t, img)
 	for _, f := range findings {
 		if f.Rule == rule && f.Method == m && f.Off == off {
 			t.Logf("finding: %s", f)
@@ -127,7 +147,7 @@ func TestCorruptBlobExit(t *testing.T) {
 	last := (f.Offset + f.Size - a64.WordSize) / a64.WordSize
 	img.Text[last] = a64.MustEncode(a64.Inst{Op: a64.OpRet, Rn: a64.LR})
 	var hit bool
-	for _, fd := range analysis.Lint(img) {
+	for _, fd := range lint(t, img) {
 		if fd.Rule == analysis.RuleBlobShape && fd.Method == analysis.NoMethod {
 			hit = true
 		}
@@ -180,7 +200,7 @@ func TestCorruptEpilogue(t *testing.T) {
 	inst.Imm -= 16
 	setWord(img, m, off, a64.MustEncode(inst))
 	var hit bool
-	for _, f := range analysis.Lint(img) {
+	for _, f := range lint(t, img) {
 		if f.Rule == analysis.RuleSPBalance && f.Method == dex.MethodID(m) {
 			hit = true
 		}
@@ -208,7 +228,7 @@ func TestCorruptCalleeSaved(t *testing.T) {
 	inst.Rd = a64.Reg(9) // restore into a scratch reg instead
 	setWord(img, m, off, a64.MustEncode(inst))
 	var hit bool
-	for _, f := range analysis.Lint(img) {
+	for _, f := range lint(t, img) {
 		if f.Rule == analysis.RuleCalleeSaved && f.Method == dex.MethodID(m) {
 			hit = true
 		}
@@ -223,7 +243,7 @@ func TestCorruptRecord(t *testing.T) {
 	img := buildApp(t, core.Baseline())
 	img.Methods[3].Size = img.TextBytes() // extends past the end
 	var hit bool
-	for _, f := range analysis.Lint(img) {
+	for _, f := range lint(t, img) {
 		if f.Rule == analysis.RuleRecord {
 			hit = true
 		}

@@ -24,7 +24,7 @@ func FuzzCallGraph(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOLTBO())
+	res, err := core.BuildCtx(f.Context(), app, core.CTOLTBO())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func FuzzCallGraph(f *testing.F) {
 		if err != nil {
 			return
 		}
-		cg, findings := analysis.BuildCallGraph(img)
+		cg, findings := analysis.BuildCallGraphCtx(t.Context(), img, 0)
 		if len(cg.Nodes) != len(img.Methods) {
 			t.Fatalf("graph covers %d of %d methods", len(cg.Nodes), len(img.Methods))
 		}

@@ -29,7 +29,7 @@ func buildAppFull(t *testing.T, cfg core.Config) (*dex.App, *workload.Manifest, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, cfg)
+	res, err := core.BuildCtx(t.Context(), app, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCallGraphMatchesBytecode(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			app, _, img := buildAppFull(t, c.cfg)
-			cg, findings := analysis.BuildCallGraph(img)
+			cg, findings := analysis.BuildCallGraphCtx(t.Context(), img, 0)
 			for _, f := range findings {
 				if f.Severity >= analysis.SevWarn {
 					t.Errorf("unexpected finding: %s", f)
@@ -139,12 +139,12 @@ func TestAnalyzeDeterminism(t *testing.T) {
 	// Corrupt a couple of words so there are findings to order.
 	img.Text[len(img.Text)/2] = 0xFFFFFFFF
 	img.Text[len(img.Text)/3] = 0xFFFFFFFF
-	base := analysis.AnalyzeParallel(img, 1).Findings
+	base := analyze(t, img, 1).Findings
 	if len(base) == 0 {
 		t.Fatal("corruption produced no findings")
 	}
 	for _, workers := range []int{2, 5, 16} {
-		got := analysis.AnalyzeParallel(img, workers).Findings
+		got := analyze(t, img, workers).Findings
 		if len(got) != len(base) {
 			t.Fatalf("worker width %d: %d findings, want %d", workers, len(got), len(base))
 		}
@@ -163,7 +163,7 @@ func TestAnalyzeDeterminism(t *testing.T) {
 func TestCallGraphCorruptRecord(t *testing.T) {
 	_, man, img := buildAppFull(t, core.CTOLTBO())
 	img.Methods[5].Size = img.TextBytes() * 2 // truncated/overflowing record
-	cg, findings := analysis.BuildCallGraph(img)
+	cg, findings := analysis.BuildCallGraphCtx(t.Context(), img, 0)
 	var recordFinding bool
 	for _, f := range findings {
 		if f.Rule == analysis.RuleRecord && f.Severity == analysis.SevError {
@@ -185,7 +185,7 @@ func TestCallGraphCorruptRecord(t *testing.T) {
 			t.Errorf("m%d classified dead on an imprecise analysis", i)
 		}
 	}
-	if _, _, err := analysis.Debloat(img, analysis.RootSet{Methods: man.Drivers}); err == nil {
+	if _, _, err := analysis.DebloatCtx(t.Context(), img, analysis.RootSet{Methods: man.Drivers}, 0, nil); err == nil {
 		t.Error("debloat accepted a corrupt image")
 	}
 }
@@ -195,7 +195,7 @@ func TestCallGraphCorruptRecord(t *testing.T) {
 func TestCallGraphStompedWord(t *testing.T) {
 	_, _, img := buildAppFull(t, core.CTOLTBO())
 	img.Text[img.Methods[4].Offset/4] = 0xFFFFFFFF
-	cg, _ := analysis.BuildCallGraph(img)
+	cg, _ := analysis.BuildCallGraphCtx(t.Context(), img, 0)
 	if len(cg.Nodes) != len(img.Methods) {
 		t.Fatalf("graph covers %d of %d methods", len(cg.Nodes), len(img.Methods))
 	}
@@ -211,7 +211,7 @@ func TestReachabilityZeroFalsePositives(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			app, man, img := buildAppFull(t, c.cfg)
-			cg, _ := analysis.BuildCallGraph(img)
+			cg, _ := analysis.BuildCallGraphCtx(t.Context(), img, 0)
 			reach := cg.Reachable(analysis.RootSet{Methods: man.Drivers})
 
 			// IR-level closure from the drivers: a superset of anything the
@@ -250,11 +250,11 @@ func TestCallGraphGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOLTBO())
+	res, err := core.BuildCtx(t.Context(), app, core.CTOLTBO())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, _ := analysis.BuildCallGraph(res.Image)
+	cg, _ := analysis.BuildCallGraphCtx(t.Context(), res.Image, 0)
 	var buf bytes.Buffer
 	if err := cg.WriteDump(&buf); err != nil {
 		t.Fatal(err)

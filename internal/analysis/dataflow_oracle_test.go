@@ -18,7 +18,7 @@ import (
 // reference frame model report identical finding lists for img.
 func sameFindings(t *testing.T, what string, img *oat.Image) []analysis.Finding {
 	t.Helper()
-	got := analysis.Analyze(img).Findings
+	got := analyze(t, img, 0).Findings
 	want := analysis.ReferenceFindings(img)
 	if slices.Equal(got, want) {
 		return got
@@ -63,7 +63,7 @@ func TestDataflowMatchesReferenceLadder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ci, c := range ladderConfigs() {
-			res, err := core.Build(app, c.cfg)
+			res, err := core.BuildCtx(t.Context(), app, c.cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", prof.Name, c.name, err)
 			}
@@ -290,7 +290,7 @@ func TestDataflowSlotListEdges(t *testing.T) {
 			img := asmMethod(t, c.insts)
 			sameFindings(t, c.name, img)
 			var got []string
-			for _, f := range analysis.Lint(img) {
+			for _, f := range lint(t, img) {
 				got = append(got, f.String())
 			}
 			if !slices.Equal(got, c.want) {
@@ -313,7 +313,7 @@ func FuzzDataflow(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOLTBO())
+	res, err := core.BuildCtx(f.Context(), app, core.CTOLTBO())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -259,7 +259,7 @@ func (mc *methodCtx) refRunDataflow() {
 	}
 }
 
-// ReferenceFindings is Analyze(img).Findings computed serially with the
+// ReferenceFindings is AnalyzeCtx(img).Findings computed serially with the
 // reference frame model in place of the production dataflow kernel.
 func ReferenceFindings(img *oat.Image) []Finding {
 	var fs findings

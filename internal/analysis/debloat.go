@@ -10,7 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Debloat is the reachability-driven rewrite pass: it takes an existing
+// DebloatCtx is the reachability-driven rewrite pass: it takes an existing
 // linked image — not a compile — and emits a smaller one with every
 // provably-dead method body, orphaned outlined function, and unreferenced
 // thunk removed.
@@ -55,14 +55,11 @@ type DebloatStats struct {
 	DeadMethods []dex.MethodID
 }
 
-// Debloat rewrites an image keeping only code reachable from roots.
-func Debloat(img *oat.Image, roots RootSet) (*oat.Image, *DebloatStats, error) {
-	return DebloatCtx(context.Background(), img, roots, 0, nil)
-}
-
-// DebloatCtx is Debloat with cooperative cancellation, an explicit
-// analysis worker count, and telemetry. The output image is byte-
-// identical for every worker width.
+// DebloatCtx rewrites an image keeping only code reachable from roots.
+// The analysis fans out on workers goroutines (<= 0 selects GOMAXPROCS)
+// and the output image is byte-identical for every width; the tracer,
+// when non-nil, records the analysis telemetry. A cancelled or
+// deadline-expired ctx stops the pass and returns ctx.Err().
 func DebloatCtx(ctx context.Context, img *oat.Image, roots RootSet, workers int, tracer *obs.Tracer) (*oat.Image, *DebloatStats, error) {
 	if len(roots.Methods) == 0 && !roots.NoCallers {
 		roots = DefaultRoots()

@@ -56,11 +56,11 @@ func TestDebloatLadder(t *testing.T) {
 			roots := analysis.RootSet{Methods: man.Drivers}
 			runs := workload.Script(man, 2, 1)
 			for _, c := range ladderConfigs() {
-				res, err := core.Build(app, c.cfg)
+				res, err := core.BuildCtx(t.Context(), app, c.cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", c.name, err)
 				}
-				out, stats, err := analysis.Debloat(res.Image, roots)
+				out, stats, err := analysis.DebloatCtx(t.Context(), res.Image, roots, 0, nil)
 				if err != nil {
 					t.Fatalf("%s: debloat: %v", c.name, err)
 				}
@@ -80,7 +80,7 @@ func TestDebloatLadder(t *testing.T) {
 
 				// Idempotence: a second pass removes nothing and the image
 				// round-trips byte-identically.
-				out2, stats2, err := analysis.Debloat(out, roots)
+				out2, stats2, err := analysis.DebloatCtx(t.Context(), out, roots, 0, nil)
 				if err != nil {
 					t.Fatalf("%s: re-debloat: %v", c.name, err)
 				}
@@ -138,12 +138,12 @@ func TestDebloatRemovesUncalled(t *testing.T) {
 		t.Fatal(err)
 	}
 	const used, orphan, main = dex.MethodID(0), dex.MethodID(1), dex.MethodID(2)
-	res, err := core.Build(app, core.CTOLTBO())
+	res, err := core.BuildCtx(t.Context(), app, core.CTOLTBO())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	out, stats, err := analysis.Debloat(res.Image, analysis.RootSet{Methods: []dex.MethodID{main}})
+	out, stats, err := analysis.DebloatCtx(t.Context(), res.Image, analysis.RootSet{Methods: []dex.MethodID{main}}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDebloatRemovesUncalled(t *testing.T) {
 	// Under the default no-caller roots the orphan is itself a root: the
 	// conservative root set only deletes orphaned clusters that *are*
 	// called, by other dead code.
-	_, dstats, err := analysis.Debloat(res.Image, analysis.DefaultRoots())
+	_, dstats, err := analysis.DebloatCtx(t.Context(), res.Image, analysis.DefaultRoots(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

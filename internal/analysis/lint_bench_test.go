@@ -29,7 +29,7 @@ func BenchmarkLint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOLTBO())
+	res, err := core.BuildCtx(b.Context(), app, core.CTOLTBO())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // The paired rules: interprocedural checks over an (original, rewritten)
 // image pair that prove a binary rewrite — debloat composed with
 // re-outlining, or re-outlining alone — preserved program meaning at the
-// instruction level. Both run only when RunRulesPaired supplies an
+// instruction level. Both run only when RunRules is given an
 // original image; on single-image runs they emit nothing, so enabling
 // them in "all"/"interproc" specs never perturbs existing reports.
 
@@ -153,7 +153,7 @@ func flattenMethod(lay *layout, mi int) ([]flatTok, bool) {
 // reoutlinedBodyRule proves flatten-equivalence of every method across a
 // paired run: expanding outlined calls and normalizing PC-relative
 // displacements must reproduce the original stream exactly. This is the
-// interprocedural analogue of outline.VerifyRewrite — it needs no
+// interprocedural analogue of outline.VerifyRewriteCtx — it needs no
 // compile-time snapshot, only the two images.
 type reoutlinedBodyRule struct{}
 

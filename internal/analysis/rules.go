@@ -537,18 +537,14 @@ func (s *RuleSpec) String() string {
 // means DefaultRuleSpec — the legacy rule set, whose output is
 // byte-identical to AnalyzeCtx. Roots configures the interprocedural
 // rules; the zero RootSet means DefaultRoots (no-caller inference).
-func RunRules(ctx context.Context, img *oat.Image, spec *RuleSpec, roots RootSet, workers int, tracer *obs.Tracer) (*Report, error) {
-	return RunRulesPaired(ctx, img, nil, spec, roots, workers, tracer)
-}
-
-// RunRulesPaired is RunRules over a pair of images: the image under
-// analysis plus the original it was derived from by a binary rewrite
-// (debloat, re-outline). The paired rules — reoutlined-body-equivalent
-// and lift-frozen-untouched — compare the two and prove the rewrite
-// preserved every method's flattened instruction stream and every frozen
-// method's bytes; on a nil orig they emit nothing, which keeps
-// single-image runs (and their goldens) unchanged.
-func RunRulesPaired(ctx context.Context, img, orig *oat.Image, spec *RuleSpec, roots RootSet, workers int, tracer *obs.Tracer) (*Report, error) {
+//
+// orig is the image img was derived from by a binary rewrite (debloat,
+// re-outline), or nil for a single-image run. The paired rules —
+// reoutlined-body-equivalent and lift-frozen-untouched — compare the two
+// and prove the rewrite preserved every method's flattened instruction
+// stream and every frozen method's bytes; on a nil orig they emit
+// nothing, which keeps single-image runs (and their goldens) unchanged.
+func RunRules(ctx context.Context, img, orig *oat.Image, spec *RuleSpec, roots RootSet, workers int, tracer *obs.Tracer) (*Report, error) {
 	if spec == nil {
 		spec = DefaultRuleSpec()
 	}

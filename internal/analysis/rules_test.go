@@ -23,8 +23,8 @@ func TestRuleEngineParity(t *testing.T) {
 		img  *oat.Image
 	}{{"clean", clean}, {"corrupt", corrupt}} {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy := analysis.AnalyzeParallel(tc.img, 3)
-			rep, err := analysis.RunRules(t.Context(), tc.img, nil, analysis.RootSet{}, 3, nil)
+			legacy := analyze(t, tc.img, 3)
+			rep, err := analysis.RunRules(t.Context(), tc.img, nil, nil, analysis.RootSet{}, 3, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestRuleSpecParse(t *testing.T) {
 func TestInterprocRules(t *testing.T) {
 	_, man, img := buildAppFull(t, core.CTOLTBO())
 	roots := analysis.RootSet{Methods: man.Drivers}
-	cg, _ := analysis.BuildCallGraph(img)
+	cg, _ := analysis.BuildCallGraphCtx(t.Context(), img, 0)
 	reach := cg.Reachable(roots)
 	wantDead := map[dex.MethodID]bool{}
 	for _, id := range reach.DeadMethods(cg) {
@@ -118,7 +118,7 @@ func TestInterprocRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := analysis.RunRules(t.Context(), img, spec, roots, 0, nil)
+	rep, err := analysis.RunRules(t.Context(), img, nil, spec, roots, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestInterprocRules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := analysis.RunRules(t.Context(), img, spec, roots, 0, nil)
+		rep, err := analysis.RunRules(t.Context(), img, nil, spec, roots, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestInterprocRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drep, err := analysis.RunRules(t.Context(), stomped, dspec, analysis.RootSet{}, 0, nil)
+	drep, err := analysis.RunRules(t.Context(), stomped, nil, dspec, analysis.RootSet{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestOutlineCycleRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := analysis.RunRules(t.Context(), img, spec, analysis.RootSet{}, 0, nil)
+	rep, err := analysis.RunRules(t.Context(), img, nil, spec, analysis.RootSet{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

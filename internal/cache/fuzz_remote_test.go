@@ -49,7 +49,7 @@ func FuzzRemoteFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	methods, err := codegen.Compile(app, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(f.Context(), app, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func FuzzCacheEntry(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	methods, err := codegen.Compile(app, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(f.Context(), app, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		f.Fatal(err)
 	}

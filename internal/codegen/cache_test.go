@@ -135,7 +135,7 @@ func TestCacheKeyContent(t *testing.T) {
 // re-encoding.
 func TestCachedMethodRoundTrip(t *testing.T) {
 	app := keyApp(t)
-	methods, err := codegen.Compile(app, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(t.Context(), app, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func normalize(cm *codegen.CompiledMethod) *codegen.CompiledMethod {
 // must return errors, never panic, and never accept trailing garbage.
 func TestDecodeCachedMethodRobust(t *testing.T) {
 	app := keyApp(t)
-	methods, err := codegen.Compile(app, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(t.Context(), app, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

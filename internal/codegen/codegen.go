@@ -102,18 +102,13 @@ type CompiledMethod struct {
 // CodeBytes returns the code size in bytes.
 func (cm *CompiledMethod) CodeBytes() int { return len(cm.Code) * a64.WordSize }
 
-// Compile translates every method of the app. The returned slice is indexed
-// by dex.MethodID. Methods compile independently on Options.Workers
-// goroutines; the result does not depend on the worker count, and with
-// Options.Cache set it does not depend on the cache's state either.
-func Compile(app *dex.App, opts Options) ([]*CompiledMethod, error) {
-	return CompileCtx(context.Background(), app, opts)
-}
-
-// CompileCtx is Compile with cooperative cancellation: the per-method
-// fan-out checks ctx before starting every method, so a cancelled or
-// deadline-expired context stops the stage at method granularity and
-// returns ctx.Err(). context.Background() restores Compile exactly.
+// CompileCtx translates every method of the app. The returned slice is
+// indexed by dex.MethodID. Methods compile independently on
+// Options.Workers goroutines; the result does not depend on the worker
+// count, and with Options.Cache set it does not depend on the cache's
+// state either. The per-method fan-out checks ctx before starting every
+// method, so a cancelled or deadline-expired context stops the stage at
+// method granularity and returns ctx.Err().
 func CompileCtx(ctx context.Context, app *dex.App, opts Options) ([]*CompiledMethod, error) {
 	if opts.Cache != nil {
 		return compileCached(ctx, app, opts)

@@ -340,7 +340,7 @@ func TestCompileWholeApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{{}, {CTO: true, Optimize: true}} {
-		methods, err := Compile(app, opts)
+		methods, err := CompileCtx(t.Context(), app, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

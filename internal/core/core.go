@@ -62,7 +62,7 @@ type Config struct {
 	Detector outline.DetectorKind
 	// VerifyImage runs the static image verifier (internal/analysis) on
 	// the linked image and fails the build on any warning or error. It is
-	// the image-only counterpart of the always-on outline.VerifyRewrite:
+	// the image-only counterpart of the always-on outline.VerifyRewriteCtx:
 	// it needs no compile-time snapshot, so it checks exactly what a
 	// loader of the serialized image could check.
 	VerifyImage bool
@@ -128,7 +128,7 @@ type Result struct {
 	VerifyTime  time.Duration // zero unless Config.VerifyImage
 
 	// WallTime is the true end-to-end build duration, measured from one
-	// clock read at Build entry to the successful return. It is >= the
+	// clock read at BuildCtx entry to the successful return. It is >= the
 	// stage sum: work between stages (option assembly, hot-set
 	// extraction, result bookkeeping) happens on the wall clock but in
 	// no stage.
@@ -145,19 +145,15 @@ func (r *Result) StageTime() time.Duration {
 // TextBytes is the paper's code-size metric.
 func (r *Result) TextBytes() int { return r.Image.TextBytes() }
 
-// Build compiles and links the app under the given configuration.
-func Build(app *dex.App, cfg Config) (*Result, error) {
-	return BuildCtx(context.Background(), app, cfg)
-}
-
-// BuildCtx is Build with cooperative cancellation: ctx is threaded through
-// every parallel stage (compile, outline, rewrite verification, image
-// lint), each of which checks it before starting every per-method or
-// per-group task. A cancelled or deadline-expired context therefore stops
-// the build at task granularity — in-flight tasks finish, nothing new
-// starts — and BuildCtx returns ctx.Err(). The determinism contract is
-// unchanged: a build that completes is byte-identical whether it ran under
-// context.Background() (which restores Build exactly) or any live context.
+// BuildCtx compiles and links the app under the given configuration. ctx
+// is threaded through every parallel stage (compile, outline, rewrite
+// verification, image lint), each of which checks it before starting
+// every per-method or per-group task. A cancelled or deadline-expired
+// context therefore stops the build at task granularity — in-flight tasks
+// finish, nothing new starts — and BuildCtx returns ctx.Err(). The
+// determinism contract holds under every context: a build that completes
+// is byte-identical whether it ran under context.Background() or any live
+// context.
 func BuildCtx(ctx context.Context, app *dex.App, cfg Config) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -247,16 +243,11 @@ func BuildCtx(ctx context.Context, app *dex.App, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// ProfileGuidedBuild implements the Figure 6 workflow: build once with the
-// given configuration minus hot filtering, profile the script on the
-// resulting image, then rebuild with the hot set excluded from outlining.
-func ProfileGuidedBuild(app *dex.App, cfg Config, script []workload.Run) (*Result, *profiler.Profile, error) {
-	return ProfileGuidedBuildCtx(context.Background(), app, cfg, script)
-}
-
-// ProfileGuidedBuildCtx is ProfileGuidedBuild with cooperative
-// cancellation threaded through both builds; the profiling run between
-// them is bounded by a context check on entry and exit.
+// ProfileGuidedBuildCtx implements the Figure 6 workflow: build once
+// with the given configuration minus hot filtering, profile the script on
+// the resulting image, then rebuild with the hot set excluded from
+// outlining. ctx is threaded through both builds; the profiling run
+// between them is bounded by a context check on entry and exit.
 func ProfileGuidedBuildCtx(ctx context.Context, app *dex.App, cfg Config, script []workload.Run) (*Result, *profiler.Profile, error) {
 	first := cfg
 	first.HotFilter = false
@@ -284,7 +275,7 @@ func ProfileGuidedBuildCtx(ctx context.Context, app *dex.App, cfg Config, script
 }
 
 // DebloatConfig configures the reachability-driven rewrite of an already
-// linked image (DebloatImage). The zero value is the conservative
+// linked image (DebloatImageCtx). The zero value is the conservative
 // default: no-caller root inference, automatic worker width, no
 // telemetry.
 type DebloatConfig struct {
@@ -304,23 +295,19 @@ type DebloatConfig struct {
 	Tracer *obs.Tracer
 }
 
-// DebloatImage rewrites a linked image, removing every method body,
+// DebloatImageCtx rewrites a linked image, removing every method body,
 // outlined function, and thunk that is provably unreachable from the
 // configured roots. The pass refuses unsound inputs (any error-severity
 // lint finding), keeps everything on any analysis imprecision, and
-// re-verifies its output with the full lint before returning it.
-func DebloatImage(img *oat.Image, cfg DebloatConfig) (*oat.Image, *analysis.DebloatStats, error) {
-	return DebloatImageCtx(context.Background(), img, cfg)
-}
-
-// DebloatImageCtx is DebloatImage with cooperative cancellation.
+// re-verifies its output with the full lint before returning it. A
+// cancelled ctx stops it with ctx.Err().
 func DebloatImageCtx(ctx context.Context, img *oat.Image, cfg DebloatConfig) (*oat.Image, *analysis.DebloatStats, error) {
 	roots := analysis.RootSet{Methods: cfg.Roots, NoCallers: cfg.NoCallerRoots}
 	return analysis.DebloatCtx(ctx, img, roots, cfg.Workers, cfg.Tracer)
 }
 
 // ReoutlineConfig configures the post-hoc re-outlining of an already
-// linked image (ReoutlineImage). The zero value runs a single global
+// linked image (ReoutlineImageCtx). The zero value runs a single global
 // suffix tree with the link-time default thresholds.
 type ReoutlineConfig struct {
 	// MinLength/MinBenefit tune the detector (defaults per §3.3).
@@ -342,18 +329,14 @@ type ReoutlineConfig struct {
 	Tracer *obs.Tracer
 }
 
-// ReoutlineImage re-outlines a linked image without its compile-time
+// ReoutlineImageCtx re-outlines a linked image without its compile-time
 // state: it lifts every method the legality mask admits back into
 // rewritable form (inlining existing outlined calls, re-symbolizing call
 // sites), runs the link-time detector over the lifted corpus, relinks
 // preserving region order, and re-verifies the result against the input
 // with the paired lint rules. Unsound or layout-pinned inputs are
-// refused; frozen methods ride through byte-for-byte.
-func ReoutlineImage(img *oat.Image, cfg ReoutlineConfig) (*oat.Image, *reoutline.Stats, error) {
-	return ReoutlineImageCtx(context.Background(), img, cfg)
-}
-
-// ReoutlineImageCtx is ReoutlineImage with cooperative cancellation.
+// refused; frozen methods ride through byte-for-byte. A cancelled ctx
+// stops it with ctx.Err().
 func ReoutlineImageCtx(ctx context.Context, img *oat.Image, cfg ReoutlineConfig) (*oat.Image, *reoutline.Stats, error) {
 	return reoutline.RunCtx(ctx, img, reoutline.Config{
 		MinLength:      cfg.MinLength,

@@ -22,7 +22,7 @@ func lintFuzzImage(f *testing.F) *oat.Image {
 	if err != nil {
 		f.Fatal(err)
 	}
-	methods, err := codegen.Compile(app, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(f.Context(), app, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -60,7 +60,10 @@ func FuzzUnmarshalLint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rep := analysis.Analyze(parsed)
+		rep, err := analysis.AnalyzeCtx(t.Context(), parsed, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// The report must be internally consistent even for garbage.
 		if len(rep.Methods) != len(parsed.Methods) {
 			t.Fatalf("report covers %d of %d methods", len(rep.Methods), len(parsed.Methods))

@@ -20,7 +20,7 @@ func buildMethods(t testing.TB, cto bool) []*codegen.CompiledMethod {
 	if err != nil {
 		t.Fatal(err)
 	}
-	methods, err := codegen.Compile(app, codegen.Options{CTO: cto, Optimize: true})
+	methods, err := codegen.CompileCtx(t.Context(), app, codegen.Options{CTO: cto, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestDetectorByteIdentityPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Build(app, c.cfg)
+		res, err := core.BuildCtx(t.Context(), app, c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

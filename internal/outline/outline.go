@@ -161,18 +161,14 @@ func (s *Stats) Counters() map[string]int64 {
 	}
 }
 
-// Run outlines the compiled methods in place and returns the outlined
+// RunCtx outlines the compiled methods in place and returns the outlined
 // functions as linker blobs. Methods' Code, Meta, StackMap, and Ext are
-// rewritten; the caller links with oat.Link(methods, blobs).
-func Run(methods []*codegen.CompiledMethod, opts Options) ([]oat.Blob, *Stats, error) {
-	return RunCtx(context.Background(), methods, opts)
-}
-
-// RunCtx is Run with cooperative cancellation: the group fan-out and the
-// per-method rewrite pool check ctx before every task, and the round loop
-// checks it between rounds, so a cancelled or deadline-expired context
-// stops outlining promptly and returns ctx.Err(). context.Background()
-// restores Run exactly.
+// rewritten; the caller links with oat.Link(methods, blobs). The group
+// fan-out and the per-method rewrite pool check ctx before every task,
+// and the round loop checks it between rounds, so a cancelled or
+// deadline-expired context stops outlining promptly and returns
+// ctx.Err(). An outlining run that completes is byte-identical under
+// every context.
 func RunCtx(ctx context.Context, methods []*codegen.CompiledMethod, opts Options) ([]oat.Blob, *Stats, error) {
 	opts = opts.withDefaults()
 	total := &Stats{}
@@ -313,7 +309,7 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 		return fmt.Sprintf("tree %d (%d methods)", gi, len(groups[gi]))
 	})
 	results, err := par.MapObsCtx(ctx, opts.Workers, k, observer, func(gi int) (groupResult, error) {
-		funcs, st, err := outlineGroup(units, groups[gi], opts)
+		funcs, st, err := outlineGroup(ctx, units, groups[gi], opts)
 		return groupResult{funcs: funcs, stats: st}, err
 	})
 	if err != nil {

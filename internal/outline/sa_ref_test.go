@@ -97,7 +97,7 @@ func globalCTOSequence(tb testing.TB, app string, scale float64) []uint32 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	methods, err := codegen.Compile(dx, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(tb.Context(), dx, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -109,7 +109,10 @@ func globalCTOSequence(tb testing.TB, app string, scale float64) []uint32 {
 			group = append(group, i)
 		}
 	}
-	seq, _ := buildSequence(units, group, Options{}.withDefaults(), &Stats{})
+	seq, _, err := buildSequence(tb.Context(), units, group, Options{}.withDefaults(), &Stats{})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	return seq
 }
 

@@ -2,6 +2,8 @@ package outline
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 )
 
@@ -11,7 +13,7 @@ func imageBytes(t *testing.T, seed int64, methods int, opts Options) []byte {
 	t.Helper()
 	app, _ := genApp(t, seed, methods)
 	cms := compile(t, app, true)
-	blobs, _, err := RunVerified(cms, opts)
+	blobs, _, err := RunVerifiedCtx(t.Context(), cms, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +75,11 @@ func TestShardedDeterminism(t *testing.T) {
 func TestShardedStillOutlines(t *testing.T) {
 	app, _ := genApp(t, 11, 150)
 	cms := compile(t, app, true)
-	_, globalStats, err := Run(compile(t, app, true), Options{})
+	_, globalStats, err := RunCtx(t.Context(), compile(t, app, true), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, shardStats, err := Run(cms, Options{DetectShards: 4})
+	_, shardStats, err := RunCtx(t.Context(), cms, Options{DetectShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,5 +89,38 @@ func TestShardedStillOutlines(t *testing.T) {
 	if got, want := shardStats.NetWordsSaved(), globalStats.NetWordsSaved()/2; got < want {
 		t.Fatalf("sharded detection saved %d words, want >= %d (global saved %d)",
 			got, want, globalStats.NetWordsSaved())
+	}
+}
+
+// TestGroupPoolsHonourCancel drives outlineGroup directly — below the
+// group fan-out, which would otherwise catch the cancellation first — so
+// the nested pools themselves must observe ctx: the sequence builder's
+// mask pool on the global route and, with DetectShards 4, the shard pool
+// plus each shard's mask pool. A cancelled run returns ctx.Err() and
+// never indexes the results it did not get.
+func TestGroupPoolsHonourCancel(t *testing.T) {
+	app, _ := genApp(t, 5, 60)
+	cms := compile(t, app, true)
+	units := make([]methodSeq, len(cms))
+	var group []int
+	for i, cm := range cms {
+		if !cm.Meta.IsNative && !cm.Meta.HasIndirectJump {
+			units[i] = methodSeq{cm: cm}
+			group = append(group, i)
+		}
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	for _, shards := range []int{0, 4} {
+		for _, workers := range []int{1, 4} {
+			opts := Options{DetectShards: shards, Workers: workers}.withDefaults()
+			funcs, _, err := outlineGroup(ctx, units, group, opts)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("shards=%d workers=%d: err = %v, want context.Canceled", shards, workers, err)
+			}
+			if funcs != nil {
+				t.Errorf("shards=%d workers=%d: %d functions from a cancelled group", shards, workers, len(funcs))
+			}
+		}
 	}
 }

@@ -48,7 +48,7 @@ func TestPaperTable2Example(t *testing.T) {
 		})
 	}
 
-	blobs, stats, err := RunVerified(methods, Options{})
+	blobs, stats, err := RunVerifiedCtx(t.Context(), methods, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,10 @@ func TestMapCtxSerialCancel(t *testing.T) {
 	}
 }
 
-// TestMapCtxBackgroundMatchesMap pins that an un-cancellable context is
-// free: results and errors are exactly Map's.
+// TestMapCtxBackgroundMatchesMap pins that the context changes
+// scheduling, never output: results and errors under an un-cancellable
+// context.Background() are exactly those under a live, never-cancelled
+// context, at the serial and the parallel width.
 func TestMapCtxBackgroundMatchesMap(t *testing.T) {
 	fn := func(i int) (int, error) {
 		if i == 7 {
@@ -84,24 +86,31 @@ func TestMapCtxBackgroundMatchesMap(t *testing.T) {
 		}
 		return i * i, nil
 	}
+	live, cancel := context.WithCancel(t.Context())
+	defer cancel()
 	for _, w := range []int{1, 4} {
 		gotC, errC := MapCtx(context.Background(), w, 6, fn)
-		got, err := Map(w, 6, fn)
+		got, err := MapCtx(live, w, 6, fn)
 		if (err == nil) != (errC == nil) {
 			t.Fatalf("w=%d: error mismatch: %v vs %v", w, err, errC)
+		}
+		if len(got) != len(gotC) {
+			t.Fatalf("w=%d: %d vs %d results", w, len(got), len(gotC))
 		}
 		for i := range got {
 			if got[i] != gotC[i] {
 				t.Fatalf("w=%d: result %d mismatch: %d vs %d", w, i, got[i], gotC[i])
 			}
 		}
-		if _, err := MapCtx(context.Background(), w, 10, fn); err == nil || err.Error() != "boom" {
-			t.Fatalf("w=%d: lowest-index error lost: %v", w, err)
+		for _, ctx := range []context.Context{context.Background(), live} {
+			if _, err := MapCtx(ctx, w, 10, fn); err == nil || err.Error() != "boom" {
+				t.Fatalf("w=%d: lowest-index error lost: %v", w, err)
+			}
 		}
 	}
 }
 
-// TestEachCtxCancel covers the Each wrapper.
+// TestEachCtxCancel checks EachCtx on a pre-cancelled context runs nothing.
 func TestEachCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

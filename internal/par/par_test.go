@@ -26,7 +26,7 @@ func TestWorkers(t *testing.T) {
 func TestMapDeterministicOrder(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 8, 64} {
 		for _, n := range []int{0, 1, 2, 7, 100, 1000} {
-			got, err := Map(w, n, func(i int) (int, error) { return i * i, nil })
+			got, err := MapCtx(t.Context(), w, n, func(i int) (int, error) { return i * i, nil })
 			if err != nil {
 				t.Fatalf("w=%d n=%d: %v", w, n, err)
 			}
@@ -48,7 +48,7 @@ func TestMapLowestErrorWins(t *testing.T) {
 	fail := map[int]bool{3: true, 41: true, 97: true}
 	want := "input 3 failed"
 	for _, w := range []int{1, 2, 8, 32} {
-		_, err := Map(w, 100, func(i int) (int, error) {
+		_, err := MapCtx(t.Context(), w, 100, func(i int) (int, error) {
 			if fail[i] {
 				return 0, fmt.Errorf("input %d failed", i)
 			}
@@ -60,12 +60,12 @@ func TestMapLowestErrorWins(t *testing.T) {
 	}
 }
 
-// TestMapRunsEverything checks that a parallel Map visits every index
+// TestMapRunsEverything checks that a parallel pool visits every index
 // exactly once.
 func TestMapRunsEverything(t *testing.T) {
 	const n = 500
 	var counts [n]atomic.Int32
-	if err := Each(8, n, func(i int) error {
+	if err := EachCtx(t.Context(), 8, n, func(i int) error {
 		counts[i].Add(1)
 		return nil
 	}); err != nil {
@@ -86,7 +86,7 @@ func TestBatchedClaimCoversOddSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 63, 64, 65, 500, 1023, 4099} {
 		for _, w := range []int{2, 3, 8, 16} {
 			counts := make([]atomic.Int32, n)
-			if err := Each(w, n, func(i int) error {
+			if err := EachCtx(t.Context(), w, n, func(i int) error {
 				counts[i].Add(1)
 				return nil
 			}); err != nil {
@@ -101,9 +101,9 @@ func TestBatchedClaimCoversOddSizes(t *testing.T) {
 	}
 }
 
-// TestEachError checks the Each wrapper propagates failures.
+// TestEachError checks EachCtx propagates the lowest failing index.
 func TestEachError(t *testing.T) {
-	err := Each(4, 10, func(i int) error {
+	err := EachCtx(t.Context(), 4, 10, func(i int) error {
 		if i >= 5 {
 			return fmt.Errorf("boom %d", i)
 		}
@@ -112,8 +112,8 @@ func TestEachError(t *testing.T) {
 	if err == nil || err.Error() != "boom 5" {
 		t.Errorf("err = %v, want boom 5", err)
 	}
-	if err := Each(4, 10, func(int) error { return nil }); err != nil {
-		t.Errorf("clean Each: %v", err)
+	if err := EachCtx(t.Context(), 4, 10, func(int) error { return nil }); err != nil {
+		t.Errorf("clean EachCtx: %v", err)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestMapObsObservesEveryTask(t *testing.T) {
 				t.Errorf("w=%d: negative timing for index %d: queue %v run %v", w, index, queueWait, run)
 			}
 		}
-		got, err := MapObs(w, n, obs, func(i int) (int, error) { return i * 3, nil })
+		got, err := MapObsCtx(t.Context(), w, n, obs, func(i int) (int, error) { return i * 3, nil })
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
@@ -170,7 +170,7 @@ func TestMapObsErrorStillObserved(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		var calls atomic.Int32
 		obs := func(worker, index int, queueWait, run time.Duration) { calls.Add(1) }
-		_, err := MapObs(w, 50, obs, func(i int) (int, error) {
+		_, err := MapObsCtx(t.Context(), w, 50, obs, func(i int) (int, error) {
 			if i == 7 || i == 31 {
 				return 0, fmt.Errorf("fail %d", i)
 			}
@@ -185,10 +185,10 @@ func TestMapObsErrorStillObserved(t *testing.T) {
 	}
 }
 
-// TestEachObs checks the Each wrapper forwards the observer.
+// TestEachObs checks EachObsCtx forwards the observer.
 func TestEachObs(t *testing.T) {
 	var calls atomic.Int32
-	err := EachObs(3, 20, func(worker, index int, queueWait, run time.Duration) {
+	err := EachObsCtx(t.Context(), 3, 20, func(worker, index int, queueWait, run time.Duration) {
 		calls.Add(1)
 	}, func(i int) error { return nil })
 	if err != nil {

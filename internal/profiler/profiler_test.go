@@ -17,7 +17,7 @@ func buildImage(t *testing.T) (*oat.Image, *workload.Manifest) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	methods, err := codegen.Compile(app, codegen.Options{Optimize: true})
+	methods, err := codegen.CompileCtx(t.Context(), app, codegen.Options{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,7 @@ import (
 
 // BenchmarkReoutline measures the post-hoc pass per ladder app on a
 // build without link-time outlining: wall time per pass plus, as extra
-// metrics, the bytes it saved and each stage's share of the work —
-// the numbers `make bench-reoutline` archives in BENCH_reoutline.json.
+// metrics, the bytes it saved and each stage's share of the work.
 func BenchmarkReoutline(b *testing.B) {
 	scale := 0.05
 	if testing.Short() {
@@ -24,14 +23,14 @@ func BenchmarkReoutline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.Build(app, core.CTOOnly())
+			res, err := core.BuildCtx(b.Context(), app, core.CTOOnly())
 			if err != nil {
 				b.Fatal(err)
 			}
 			var st *reoutline.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st, err = reoutline.Run(res.Image, reoutline.Config{})
+				_, st, err = reoutline.RunCtx(b.Context(), res.Image, reoutline.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}

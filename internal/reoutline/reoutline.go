@@ -101,14 +101,10 @@ type Stats struct {
 // the ladder tests treat as a failure).
 func (s *Stats) Saved() int { return s.TextBefore - s.TextAfter }
 
-// Run re-outlines a linked image. See the package comment for the
-// contract; the input image is never modified.
-func Run(img *oat.Image, cfg Config) (*oat.Image, *Stats, error) {
-	return RunCtx(context.Background(), img, cfg)
-}
-
-// RunCtx is Run with cooperative cancellation threaded through every
-// parallel stage.
+// RunCtx re-outlines a linked image. See the package comment for the
+// contract; the input image is never modified. ctx is threaded through
+// every parallel stage, so a cancelled or deadline-expired context stops
+// the pass and returns ctx.Err().
 func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats, error) {
 	st := &Stats{
 		MethodsTotal: len(img.Methods),
@@ -248,7 +244,7 @@ func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats
 	spec := analysis.DefaultRuleSpec()
 	spec.Enable(analysis.RuleReoutlinedBody)
 	spec.Enable(analysis.RuleLiftFrozen)
-	rep, err := analysis.RunRulesPaired(ctx, out, img, spec, analysis.RootSet{}, cfg.Workers, cfg.Tracer)
+	rep, err := analysis.RunRules(ctx, out, img, spec, analysis.RootSet{}, cfg.Workers, cfg.Tracer)
 	sp.End()
 	if err != nil {
 		return nil, st, err

@@ -49,7 +49,7 @@ func diffRuns(t *testing.T, what string, app *dex.App, img *oat.Image, runs []wo
 // relink puts every region back where it was.
 func requireIdempotent(t *testing.T, what string, out *oat.Image, cfg reoutline.Config) {
 	t.Helper()
-	out2, st2, err := reoutline.Run(out, cfg)
+	out2, st2, err := reoutline.RunCtx(t.Context(), out, cfg)
 	if err != nil {
 		t.Fatalf("%s: second reoutline: %v", what, err)
 	}
@@ -82,15 +82,15 @@ func TestReoutlineGapLadder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := core.Build(app, core.CTOOnly())
+			plain, err := core.BuildCtx(t.Context(), app, core.CTOOnly())
 			if err != nil {
 				t.Fatal(err)
 			}
-			linked, err := core.Build(app, core.CTOLTBO())
+			linked, err := core.BuildCtx(t.Context(), app, core.CTOLTBO())
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, st, err := reoutline.Run(plain.Image, reoutline.Config{})
+			out, st, err := reoutline.RunCtx(t.Context(), plain.Image, reoutline.Config{})
 			if err != nil {
 				t.Fatalf("reoutline: %v", err)
 			}
@@ -132,15 +132,15 @@ func TestReoutlineComposesWithDebloat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.Build(app, core.CTOOnly())
+			res, err := core.BuildCtx(t.Context(), app, core.CTOOnly())
 			if err != nil {
 				t.Fatal(err)
 			}
-			deb, _, err := core.DebloatImage(res.Image, core.DebloatConfig{Roots: man.Drivers})
+			deb, _, err := core.DebloatImageCtx(t.Context(), res.Image, core.DebloatConfig{Roots: man.Drivers})
 			if err != nil {
 				t.Fatalf("debloat: %v", err)
 			}
-			out, st, err := reoutline.Run(deb, reoutline.Config{})
+			out, st, err := reoutline.RunCtx(t.Context(), deb, reoutline.Config{})
 			if err != nil {
 				t.Fatalf("reoutline after debloat: %v", err)
 			}
@@ -168,11 +168,11 @@ func TestReoutlineMostlyFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOOnly())
+	res, err := core.BuildCtx(t.Context(), app, core.CTOOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, st, err := reoutline.Run(res.Image, reoutline.Config{})
+	out, st, err := reoutline.RunCtx(t.Context(), res.Image, reoutline.Config{})
 	if err != nil {
 		t.Fatalf("reoutline: %v", err)
 	}
@@ -199,11 +199,11 @@ func TestReoutlineLinkTimeInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOLTBO())
+	res, err := core.BuildCtx(t.Context(), app, core.CTOLTBO())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, st, err := reoutline.Run(res.Image, reoutline.Config{})
+	out, st, err := reoutline.RunCtx(t.Context(), res.Image, reoutline.Config{})
 	if err != nil {
 		t.Fatalf("reoutline: %v", err)
 	}
@@ -221,13 +221,13 @@ func TestReoutlineDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOOnly())
+	res, err := core.BuildCtx(t.Context(), app, core.CTOOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ref []byte
 	for _, workers := range []int{1, 2, 8} {
-		out, _, err := reoutline.Run(res.Image, reoutline.Config{Workers: workers})
+		out, _, err := reoutline.RunCtx(t.Context(), res.Image, reoutline.Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
